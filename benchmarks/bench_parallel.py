@@ -1,8 +1,9 @@
 """Process-parallel execution benchmark: serial vs multi-worker.
 
-Times the four parallelized consumers -- margin Monte-Carlo, sampled
-array Monte-Carlo, parameter sweeps, and chip-scale batched search --
-with ``workers=1`` against ``workers=N`` (default 4) and writes the
+Times the three parallelized consumers -- margin Monte-Carlo, sampled
+array Monte-Carlo and parameter sweeps, all fanned out at the trial
+level (searches themselves never fan out) -- with ``workers=1``
+against ``workers=N`` (default 4) and writes the
 numbers to ``BENCH_parallel.json`` at the repo root.  Result equivalence
 between the serial and parallel runs is asserted on every invocation;
 that part of the contract does not depend on how many CPUs the host
@@ -33,10 +34,9 @@ import numpy as np
 from repro.analysis import Sweep, critical_keys, run_array_mc, run_margin_mc
 from repro.core import build_array, get_design
 from repro.devices.variability import NOMINAL_VARIATION
-from repro.parallel import available_cpus, last_payload_stats
+from repro.parallel import available_cpus
 from repro.tcam import ArrayGeometry
 from repro.tcam.outcome import SCHEMA_VERSION
-from repro.tcam.chip import GatingPolicy, TCAMChip
 from repro.tcam.trit import random_word
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -120,61 +120,15 @@ def bench_sweep(workers: int, n_points: int) -> dict:
     return rec
 
 
-def bench_chip_search(workers: int, n_keys: int) -> dict:
-    geo = ArrayGeometry(rows=16, cols=32)
-
-    def fresh_chip() -> TCAMChip:
-        chip = TCAMChip(
-            lambda: build_array(get_design(DESIGN), geo),
-            n_banks=4,
-            gating=GatingPolicy(gate_idle_banks=True),
-        )
-        words_rng = np.random.default_rng(SEED)
-        chip.load(
-            [random_word(geo.cols, words_rng, x_fraction=0.2) for _ in range(3 * geo.rows)]
-        )
-        return chip
-
-    keys_rng = np.random.default_rng(SEED + 1)
-    keys = [random_word(geo.cols, keys_rng) for _ in range(n_keys)]
-    banks = [i % 4 for i in range(n_keys)]
-    # Warm the process pool on a throwaway chip so the parallel timing
-    # measures the shared-memory fan-out, not one-time pool start-up
-    # (pools are cached across calls -- see repro.parallel.shutdown_pools).
-    fresh_chip().search_batch(keys[:4], banks[:4], idle_time=1e-7, workers=workers)
-    serial_chip, par_chip = fresh_chip(), fresh_chip()
-    serial, t_serial = _timed(
-        lambda: serial_chip.search_batch(keys, banks, idle_time=1e-7, workers=1)
-    )
-    par, t_par = _timed(
-        lambda: par_chip.search_batch(keys, banks, idle_time=1e-7, workers=workers)
-    )
-    for a, b in zip(serial, par):
-        assert a.bank == b.bank and a.row == b.row, "chip batch rows diverged"
-        assert a.energy.as_dict() == b.energy.as_dict(), "chip batch energy diverged"
-    rec = _record("chip_search_batch", t_serial, t_par)
-    rec["n_keys"] = n_keys
-    rec["n_banks"] = 4
-    payload = last_payload_stats()
-    if payload is not None:
-        # What the parallel run actually shipped per chunk (the shared
-        # key matrix crosses once, outside the per-chunk payloads).
-        rec["transport"] = payload["transport"]
-        rec["payload_bytes_per_chunk"] = payload["chunk_bytes"]
-        rec["shared_bytes"] = payload["shared_bytes"]
-    return rec
-
-
 def run_bench(workers: int, smoke: bool) -> dict:
     if smoke:
-        sizes = {"n_samples": 64, "n_instances": 2, "n_points": 3, "n_keys": 16}
+        sizes = {"n_samples": 64, "n_instances": 2, "n_points": 3}
     else:
-        sizes = {"n_samples": 768, "n_instances": 4, "n_points": 6, "n_keys": 96}
+        sizes = {"n_samples": 768, "n_instances": 4, "n_points": 6}
     benchmarks = [
         bench_margin_mc(workers, sizes["n_samples"]),
         bench_array_mc(workers, sizes["n_instances"]),
         bench_sweep(workers, sizes["n_points"]),
-        bench_chip_search(workers, sizes["n_keys"]),
     ]
     record = {
         "schema_version": SCHEMA_VERSION,

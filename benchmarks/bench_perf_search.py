@@ -1,24 +1,24 @@
-"""Search-throughput microbenchmark: scalar loop vs batched engine.
+"""Search-throughput microbenchmark: scalar loop vs compiled batch.
 
-Measures keys/sec of the per-key ``TCAMArray.search()`` loop against
-``TCAMArray.search_batch()`` on a 256x64 precharge array with 1024
-random keys (the configuration the perf target is stated against), plus
-the trajectory-cache hit rate, and writes the numbers to
-``BENCH_search.json`` at the repo root so the perf trajectory is tracked
-across PRs.
+Measures keys/sec of the per-key ``TCAMArray.search()`` loop (the RK4
+reference) against ``TCAMArray.search_batch()`` (the compiled kernel)
+on a 256x64 precharge array with 1024 random keys (the configuration
+the perf target is stated against), and writes the numbers to
+``BENCH_search.json`` at the repo root so the perf trajectory is
+tracked across PRs.
 
 Run directly::
 
     PYTHONPATH=src python benchmarks/bench_perf_search.py            # full
     PYTHONPATH=src python benchmarks/bench_perf_search.py --smoke    # CI
     PYTHONPATH=src python benchmarks/bench_perf_search.py --check    # assert >= 10x
-    PYTHONPATH=src python benchmarks/bench_perf_search.py --kernel   # compiled kernel
     PYTHONPATH=src python benchmarks/bench_perf_search.py --obs      # trace overhead
 
-The scalar baseline is honest: the scalar path never touches the
-trajectory cache, so the comparison is per-key physics vs shared
-per-class physics.  Outcome equality between the two paths is asserted
-on every run (on the scalar subset actually timed).
+The scalar baseline integrates every mismatch class per key; the batch
+gathers from the compiled class tables, pre-built so the timed region
+is the steady-state kernel.  Outcome equality between the two paths is
+asserted on every run (on the scalar subset actually timed), and the
+tables are validated against the RK4 reference.
 """
 
 from __future__ import annotations
@@ -53,22 +53,16 @@ def run_bench(
     cols: int = 64,
     n_keys: int = 1024,
     scalar_keys: int | None = None,
-    use_kernel: bool = False,
 ) -> dict:
     """Time both paths; return the result record.
 
     Args:
         rows/cols/n_keys: Benchmark configuration.
         scalar_keys: How many keys the scalar loop is timed on (it is a
-            couple of orders of magnitude slower, so the full batch size
-            would dominate wall time for no statistical gain); defaults
-            to ``min(n_keys, 64)``.  Scalar keys/sec extrapolates from
-            this subset; outcome equality is checked on it.
-        use_kernel: Also time a third array with the compiled kernel
-            path enabled (``enable_kernel()``), its class tables
-            pre-built so the timed region is the steady-state gather.
-            Kernel outcomes are asserted equal to the scalar ones and
-            the table is validated against the RK4 reference.
+            few orders of magnitude slower, so the full batch size would
+            dominate wall time for no statistical gain); defaults to
+            ``min(n_keys, 64)``.  Scalar keys/sec extrapolates from this
+            subset; outcome equality is checked on it.
     """
     if scalar_keys is None:
         scalar_keys = min(n_keys, 64)
@@ -77,15 +71,17 @@ def run_bench(
     scalar_array = _build_loaded(rows, cols, rng)
     rng.bit_generator.state = words_rng_state
     batch_array = _build_loaded(rows, cols, rng)
-    if use_kernel:
-        rng.bit_generator.state = words_rng_state
-        kernel_array = _build_loaded(rows, cols, rng)
     keys = [random_word(cols, rng, x_fraction=0.0) for _ in range(n_keys)]
 
     t0 = time.perf_counter()
     scalar_outcomes = [scalar_array.search(k) for k in keys[:scalar_keys]]
     t_scalar = time.perf_counter() - t0
     scalar_rate = scalar_keys / t_scalar
+
+    engine = batch_array.kernel
+    # Build exactly the class rows this batch will gather from, without
+    # perturbing the search-line drive state a warm-up batch would leave.
+    engine.precompute(sorted({int(np.count_nonzero(k.as_array() != 2)) for k in keys}))
 
     t0 = time.perf_counter()
     batch_outcomes = batch_array.search_batch(keys)
@@ -97,8 +93,7 @@ def run_bench(
         assert s.first_match == b.first_match
         assert s.energy.total == b.energy.total, "batch energies diverge from scalar"
 
-    stats = batch_array.ml_cache_stats()
-    record = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "design": DESIGN,
         "rows": rows,
@@ -108,42 +103,12 @@ def run_bench(
         "scalar_keys_per_sec": round(scalar_rate, 2),
         "batch_keys_per_sec": round(batch_rate, 2),
         "speedup": round(batch_rate / scalar_rate, 2),
-        "cache_hit_rate": round(stats["hit_rate"], 4),
-        "cache_entries": int(stats["size"]),
         "scalar_seconds": round(t_scalar, 4),
         "batch_seconds": round(t_batch, 4),
+        "validation_error": engine.validate(rtol=1e-9),
+        "table_hits": engine.table_hits,
+        "rk4_fallbacks": engine.rk4_fallbacks,
     }
-
-    if use_kernel:
-        engine = kernel_array.enable_kernel()
-        # Build exactly the class rows this batch will gather from,
-        # without perturbing the search-line drive state a warm-up
-        # batch would leave behind.
-        drivens = sorted({int(np.count_nonzero(k.as_array() != 2)) for k in keys})
-        engine.precompute(drivens)
-
-        t0 = time.perf_counter()
-        kernel_outcomes = kernel_array.search_batch(keys)
-        t_kernel = time.perf_counter() - t0
-        kernel_rate = n_keys / t_kernel
-
-        for s, k in zip(scalar_outcomes, kernel_outcomes):
-            assert np.array_equal(s.match_mask, k.match_mask)
-            assert s.first_match == k.first_match
-            assert s.energy.total == k.energy.total, "kernel energies diverge from scalar"
-        validation_error = engine.validate(rtol=1e-9)
-        record.update(
-            {
-                "kernel_keys_per_sec": round(kernel_rate, 2),
-                "kernel_seconds": round(t_kernel, 4),
-                "kernel_speedup_vs_scalar": round(kernel_rate / scalar_rate, 2),
-                "kernel_speedup_vs_batch": round(kernel_rate / batch_rate, 2),
-                "kernel_validation_error": validation_error,
-                "kernel_table_hits": engine.table_hits,
-                "kernel_rk4_fallbacks": engine.rk4_fallbacks,
-            }
-        )
-    return record
 
 
 def run_obs_overhead(
@@ -172,13 +137,11 @@ def run_obs_overhead(
 
     pairs: list[tuple[float, float]] = []
     for rep in range(repeats + 1):
-        off_array.ml_cache.invalidate()
         t0 = time.perf_counter()
         off_outcomes = off_array.search_batch(keys)
         dt_off = time.perf_counter() - t0
 
         with obs.observe(sinks=(obs.NullSink(),)):
-            on_array.ml_cache.invalidate()
             t0 = time.perf_counter()
             on_outcomes = on_array.search_batch(keys)
             dt_on = time.perf_counter() - t0
@@ -214,18 +177,11 @@ def main() -> None:
     )
     parser.add_argument(
         "--min-speedup", type=float, default=10.0,
-        help="batched-vs-scalar speedup floor enforced by --check (default 10)",
+        help="batch-vs-scalar speedup floor enforced by --check (default 10)",
     )
     parser.add_argument(
         "--obs", action="store_true",
         help="measure observability overhead instead of scalar-vs-batch",
-    )
-    parser.add_argument(
-        "--kernel", action="store_true",
-        help=(
-            "also time the compiled kernel path (enable_kernel); --check "
-            "then gates on the kernel-vs-scalar speedup"
-        ),
     )
     parser.add_argument(
         "--output", type=pathlib.Path, default=REPO_ROOT / "BENCH_search.json",
@@ -247,20 +203,17 @@ def main() -> None:
         return
 
     if args.smoke:
-        record = run_bench(
-            rows=64, cols=32, n_keys=128, scalar_keys=16, use_kernel=args.kernel
-        )
+        record = run_bench(rows=64, cols=32, n_keys=128, scalar_keys=16)
     else:
-        record = run_bench(use_kernel=args.kernel)
+        record = run_bench()
 
     print(json.dumps(record, indent=2))
     if not args.smoke:
         args.output.write_text(json.dumps(record, indent=2) + "\n")
         print(f"wrote {args.output}")
-    gated = record["kernel_speedup_vs_scalar"] if args.kernel else record["speedup"]
-    if args.check and gated < args.min_speedup:
+    if args.check and record["speedup"] < args.min_speedup:
         raise SystemExit(
-            f"speedup {gated}x is below the {args.min_speedup}x target"
+            f"speedup {record['speedup']}x is below the {args.min_speedup}x target"
         )
 
 

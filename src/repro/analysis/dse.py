@@ -173,7 +173,6 @@ def evaluate_point(
     searches: int = 8,
     seed: int = 0,
     x_fraction: float = 0.3,
-    use_kernel: bool = False,
 ) -> dict:
     """Measure one design point on a common random workload.
 
@@ -187,8 +186,9 @@ def evaluate_point(
         searches: Random search keys.
         seed: Workload seed (per-point stream derived from it).
         x_fraction: Don't-care density of the stored words.
-        use_kernel: Answer the keys from the compiled waveform tables
-            where the array supports them (bit-identical).
+
+    Arrays with a batch engine answer the keys in one ``search_batch``
+    (bit-identical to a scalar loop); others are searched key by key.
     """
     cell, array = _build(point)
     rng = np.random.default_rng(point.seed_key(seed))
@@ -198,13 +198,11 @@ def evaluate_point(
     ]
     keys = [random_word(point.cols, rng) for _ in range(searches)]
     array.load(words)
-    if use_kernel and hasattr(array, "enable_kernel"):
-        array.enable_kernel()
     energy = 0.0
     delay = 0.0
     cycle = 0.0
     errors = 0
-    if use_kernel and hasattr(array, "search_batch"):
+    if hasattr(array, "search_batch"):
         outcomes = array.search_batch(keys)
     else:
         outcomes = [array.search(key) for key in keys]
@@ -317,7 +315,6 @@ def run_dse(
     searches: int = 8,
     seed: int = 0,
     workers: int = 0,
-    use_kernel: bool = False,
 ) -> DSEResult:
     """Evaluate a design space and reduce it to the Pareto frontier.
 
@@ -327,16 +324,13 @@ def run_dse(
         seed: Workload seed; each point derives its own stream from it.
         workers: Process count for the point fan-out (serial by default;
             rows are identical at every worker count).
-        use_kernel: Compiled-waveform batch answering where supported.
     """
     if not points:
         raise AnalysisError("the design space is empty")
     sweep = Sweep(
         knob="point",
         values=list(points),
-        evaluate=partial(
-            evaluate_point, searches=searches, seed=seed, use_kernel=use_kernel
-        ),
+        evaluate=partial(evaluate_point, searches=searches, seed=seed),
     )
     result = sweep.run(workers=workers)
     rows = tuple({k: v for k, v in row.items() if k != "point"} for row in result.rows)

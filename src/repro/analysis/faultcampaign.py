@@ -204,27 +204,12 @@ def _fresh_instance(
     cols: int,
     words: list[TernaryWord],
     rewrites: list[tuple[int, TernaryWord]],
-    use_kernel: bool = False,
 ) -> TCAMArray:
     """One array instance of the trial, with the full write history."""
     array = _build_loaded(design, rows, cols, [w for w in words])
     for row, word in rewrites:
         array.write(row, word)
-    if use_kernel and hasattr(array, "enable_kernel"):
-        array.enable_kernel()
     return array
-
-
-def _searches(array: TCAMArray, keys: list[TernaryWord], use_kernel: bool) -> list:
-    """Per-key outcomes, via the batch engine when the kernel is on.
-
-    ``search_batch`` is bit-identical to the scalar loop (the batch
-    engine's contract; fault-injected arrays route to a per-key serial
-    loop internally), so both paths produce the same counts and joules.
-    """
-    if use_kernel:
-        return array.search_batch(list(keys))
-    return [array.search(k) for k in keys]
 
 
 def _fault_trial(
@@ -237,7 +222,6 @@ def _fault_trial(
         str,
         str,
         int,
-        bool,
         np.random.SeedSequence,
     ],
 ) -> list[dict]:
@@ -255,19 +239,18 @@ def _fault_trial(
         mode,
         repair,
         n_keys,
-        use_kernel,
         seed_seq,
     ) = payload
     rng = np.random.default_rng(seed_seq)
     rows_loaded = rows - n_spare
     words, keys, rewrites = _trial_content(rng, rows_loaded, cols, mode, n_keys)
 
-    golden = _fresh_instance(design, rows, cols, words, rewrites, use_kernel)
+    golden = _fresh_instance(design, rows, cols, words, rewrites)
     campaign = FaultCampaign(rows, cols)
     plan = campaign.draw(
         mode, rng, wear_counts=golden.wear_counts() if mode == "wear" else None
     )
-    golden_outs = _searches(golden, keys, use_kernel)
+    golden_outs = golden.search_batch(keys)
     golden_sets = [
         frozenset(int(r) for r in np.flatnonzero(o.match_mask)) for o in golden_outs
     ]
@@ -277,21 +260,21 @@ def _fault_trial(
     for density in densities:
         fault_map = plan.at_density(density)
 
-        faulty = _fresh_instance(design, rows, cols, words, rewrites, use_kernel)
+        faulty = _fresh_instance(design, rows, cols, words, rewrites)
         faulty.attach_faults(fault_map)
         false_match = 0
         false_miss = 0
         faulty_energy = 0.0
-        for gold, out in zip(golden_outs, _searches(faulty, keys, use_kernel)):
+        for gold, out in zip(golden_outs, faulty.search_batch(keys)):
             false_match += int(np.count_nonzero(out.match_mask & ~gold.match_mask))
             false_miss += int(np.count_nonzero(gold.match_mask & ~out.match_mask))
             faulty_energy += out.energy.total
 
-        repaired = _fresh_instance(design, rows, cols, words, rewrites, use_kernel)
+        repaired = _fresh_instance(design, rows, cols, words, rewrites)
         repaired.attach_faults(fault_map.copy())
         report = get_policy(repair, n_spare=n_spare).repair(repaired, repaired.faults)
         yield_keys = 0
-        for gold_set, out in zip(golden_sets, _searches(repaired, keys, use_kernel)):
+        for gold_set, out in zip(golden_sets, repaired.search_batch(keys)):
             want = {report.row_map.get(r, r) for r in gold_set}
             got = set(int(r) for r in np.flatnonzero(out.match_mask))
             yield_keys += want == got
@@ -326,7 +309,6 @@ def run_fault_campaign(
     n_keys: int = 24,
     seed: int = 20260805,
     workers: int = 0,
-    use_kernel: bool = False,
 ) -> FaultCampaignResult:
     """Sweep fault density; measure error rates, energy delta and yield.
 
@@ -349,8 +331,6 @@ def run_fault_campaign(
         n_keys: Search keys per trial (critical corners + random fill).
         seed: Root seed; trials draw from its spawned children.
         workers: Process count for the trial fan-out; ``<= 1`` serial.
-        use_kernel: Route searches through the compiled-kernel batch
-            engine on designs that support it (bit-identical results).
 
     Raises:
         AnalysisError: on an empty/invalid sweep configuration.
@@ -397,7 +377,7 @@ def run_fault_campaign(
             m.counter("faults.trials").inc(n_trials)
         seeds = spawn_seeds(seed, n_trials)
         payloads = [
-            (design, rows, cols, n_spare, densities, mode, repair, n_keys, bool(use_kernel), s)
+            (design, rows, cols, n_spare, densities, mode, repair, n_keys, s)
             for s in seeds
         ]
         per_trial = scatter_gather(

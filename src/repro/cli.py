@@ -141,14 +141,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for spec in specs:
         array = build_array(spec, geometry)
         array.load(words)
-        if args.kernel and hasattr(array, "enable_kernel"):
-            array.enable_kernel()
         ledger = EnergyLedger()
         delay = 0.0
         cycle = 0.0
         errors = 0
         if hasattr(array, "search_batch"):
-            outcomes = array.search_batch(keys, workers=args.workers)
+            outcomes = array.search_batch(keys)
         else:  # NAND-string arrays have no batched engine
             outcomes = [array.search(key) for key in keys]
         for out in outcomes:
@@ -223,8 +221,6 @@ def _cmd_margin(args: argparse.Namespace) -> int:
 def _cmd_mc(args: argparse.Namespace) -> int:
     spec = get_design(args.design)
     array = build_array(spec, ArrayGeometry(args.rows, args.cols))
-    if args.kernel and hasattr(array, "enable_kernel"):
-        array.enable_kernel()
     variation = NOMINAL_VARIATION.scaled(args.sigma_scale)
     mc = run_margin_mc(
         array, variation, n_samples=args.samples, seed=args.seed, workers=args.workers
@@ -260,14 +256,12 @@ def _cmd_lpm(args: argparse.Namespace) -> int:
     rows = args.rows if args.rows is not None else 1 << (args.routes - 1).bit_length()
     array = build_array(get_design(args.design), ArrayGeometry(rows, 32))
     table.deploy(array)
-    if args.kernel and hasattr(array, "enable_kernel"):
-        array.enable_kernel()
     agreements = 0
     addresses = trace_addresses(table, args.lookups, rng)
     ledger = EnergyLedger()
     last_outcome = None
     for address, (route, outcome) in zip(
-        addresses, table.lookup_tcam_batch(array, addresses, workers=args.workers)
+        addresses, table.lookup_tcam_batch(array, addresses)
     ):
         oracle = table.lookup_reference(address)
         ledger.merge(outcome.energy)
@@ -387,7 +381,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         n_keys=args.keys,
         seed=args.seed,
         workers=args.workers,
-        use_kernel=args.kernel,
     )
     if args.json:
         _emit_json({"command": "faults", **result.to_dict()})
@@ -443,17 +436,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         chip.load(
             [random_word(args.cols, rng) for _ in range(args.rows * args.banks)]
         )
-        if args.kernel:
-            for bank in chip.banks:
-                if hasattr(bank, "enable_kernel"):
-                    bank.enable_kernel()
-        backend = ChipBackend(chip, workers=args.workers)
+        backend = ChipBackend(chip)
     else:
         array = build_array(spec, ArrayGeometry(args.rows, args.cols))
         array.load([random_word(args.cols, rng) for _ in range(args.rows)])
-        if args.kernel and hasattr(array, "enable_kernel"):
-            array.enable_kernel()
-        backend = ArrayBackend(array, workers=args.workers)
+        backend = ArrayBackend(array)
 
     trace = ARRIVAL_PROCESSES[args.process](
         args.requests, rate=args.rate, cols=args.cols, seed=args.seed,
@@ -498,7 +485,6 @@ def _cmd_dse(args: argparse.Namespace) -> int:
         searches=args.searches,
         seed=args.seed,
         workers=args.workers,
-        use_kernel=args.kernel,
     )
     if args.json:
         _emit_json({"command": "dse", "seed": args.seed, **result.to_dict()})
@@ -578,7 +564,6 @@ def _cmd_retrieval(args: argparse.Namespace) -> int:
         bank_rows=args.rows,
         banks_per_chip=args.banks,
         seed=args.seed,
-        use_kernel=args.kernel,
     )
     if args.json:
         _emit_json({"command": "retrieval", **record})
@@ -649,8 +634,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         churn_updates=args.churn,
         wear_density=args.wear_density,
         seed=args.seed,
-        workers=args.workers,
-        use_kernel=args.kernel,
     )
     if args.json:
         _emit_json({"command": "cluster", **record})
@@ -773,23 +756,15 @@ def _seed_flags(default: int = 0) -> argparse.ArgumentParser:
     return parent
 
 
-def _engine_flags(what: str) -> argparse.ArgumentParser:
-    """``--workers`` / ``--kernel``: the shared batch-engine knobs."""
+def _workers_flags(what: str) -> argparse.ArgumentParser:
+    """``--workers``: trial-level process fan-out (results are
+    bit-identical at every worker count)."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--workers",
         type=int,
         default=0,
         help=f"process count for {what} (default: serial)",
-    )
-    parent.add_argument(
-        "--kernel",
-        action="store_true",
-        help=(
-            "answer batched searches from the compiled waveform tables "
-            "(bit-identical; under 'trace', kernels.* counters appear "
-            "in the metrics summary)"
-        ),
     )
     return parent
 
@@ -838,7 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
             _design_flags(None, help="restrict to one design"),
             _shape_flags(rows=64, cols=64),
             _seed_flags(),
-            _engine_flags("the batched searches"),
             _json_flags("a table"),
         ],
     )
@@ -865,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
             _design_flags("fefet2t"),
             _shape_flags(rows=16, cols=64),
             _seed_flags(),
-            _engine_flags("the sample chunks"),
+            _workers_flags("the sample chunks"),
             _json_flags(),
         ],
     )
@@ -879,7 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[
             _design_flags("fefet2t_lv"),
             _seed_flags(),
-            _engine_flags("the batched lookups"),
             _json_flags(),
         ],
     )
@@ -935,7 +908,7 @@ def build_parser() -> argparse.ArgumentParser:
             _design_flags("fefet2t"),
             _shape_flags(rows=32, cols=32),
             _seed_flags(20260805),
-            _engine_flags("the trial fan-out"),
+            _workers_flags("the trial fan-out"),
             _json_flags("a table"),
         ],
     )
@@ -971,7 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
             _shape_flags(rows=32, cols=32),
             _service_flags(),
             _seed_flags(),
-            _engine_flags("the batched searches"),
             _json_flags(),
         ],
     )
@@ -998,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="design-space exploration: energy-delay-area-accuracy frontier",
         parents=[
             _seed_flags(),
-            _engine_flags("the design-point sweep"),
+            _workers_flags("the design-point sweep"),
             _json_flags("a table"),
         ],
     )
@@ -1051,13 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     retrieval.add_argument(
         "--banks", type=int, default=16, help="banks tiled per chip"
     )
-    retrieval.add_argument(
-        "--no-kernel",
-        dest="kernel",
-        action="store_false",
-        help="run the scalar reference path instead of the distance kernel",
-    )
-    retrieval.set_defaults(func=_cmd_retrieval, kernel=True)
+    retrieval.set_defaults(func=_cmd_retrieval)
 
     cluster = sub.add_parser(
         "cluster",
@@ -1065,7 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[
             _design_flags("fefet2t"),
             _seed_flags(),
-            _engine_flags("the shard fan-out"),
             _json_flags("a table"),
         ],
     )

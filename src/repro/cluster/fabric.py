@@ -42,26 +42,12 @@ from .. import obs
 from ..core import build_array, get_design
 from ..energy.accounting import EnergyLedger
 from ..errors import CapacityError, ClusterError
-from ..parallel import scatter_gather
 from ..tcam import ArrayGeometry
 from ..tcam.chip import GatingPolicy, TCAMChip
 from ..tcam.outcome import BaseOutcome
 from ..tcam.trit import TernaryWord
 from .distributor import Distributor, Placement, RuleTable, get_distributor
 from .interconnect import Interconnect, LinkModel
-
-
-def _probe_chip(payload):
-    """Search every probed bank of one chip for one key subsequence.
-
-    Module-level and pure over its payload so :func:`scatter_gather`
-    can fan chips out across processes; the mutated chip comes back in
-    the result for the caller to swap in (identical to the serial path
-    where the chip mutates in place and is returned unchanged).
-    """
-    chip, keys, banks = payload
-    per_bank = {b: chip.search_batch(keys, banks=b) for b in banks}
-    return chip, per_bank
 
 
 @dataclass(frozen=True)
@@ -149,8 +135,9 @@ class TCAMFabric:
         link: Electrical link model.
         result_bits: Verdict flit width for the interconnect.
         gating: Bank power-gating policy for the chips.
-        use_kernel: Compile the waveform kernel on every bank (tables
-            shared across the identical shard banks).
+
+    Every shard bank is electrically identical, so the banks share one
+    set of compiled kernel tables (adopted from the first bank).
     """
 
     def __init__(
@@ -168,7 +155,6 @@ class TCAMFabric:
         link: LinkModel | None = None,
         result_bits: int = 64,
         gating: GatingPolicy | None = None,
-        use_kernel: bool = False,
     ) -> None:
         if n_chips < 1:
             raise ClusterError(f"n_chips must be >= 1, got {n_chips}")
@@ -233,11 +219,9 @@ class TCAMFabric:
             self.load_energy = self._load_shards()
             if sp is not None:
                 sp.add_energy(self.load_energy)
-            if use_kernel:
-                banks = [bank for chip in self.chips for bank in chip.banks]
-                donor = banks[0].enable_kernel()
-                for bank in banks[1:]:
-                    bank.enable_kernel().adopt_tables(donor)
+            banks = [bank for chip in self.chips for bank in chip.banks]
+            for bank in banks[1:]:
+                bank.kernel.adopt_tables(banks[0].kernel)
 
         #: Conservation counters checked by the campaign smoke gate.
         self.queries_offered = 0
@@ -309,28 +293,22 @@ class TCAMFabric:
 
     # -- search -------------------------------------------------------
 
-    def search(self, key: TernaryWord, workers: int = 0) -> FabricSearchOutcome:
+    def search(self, key: TernaryWord) -> FabricSearchOutcome:
         """Search one key (see :meth:`search_batch`)."""
-        return self.search_batch([key], workers=workers)[0]
+        return self.search_batch([key])[0]
 
-    def search_batch(
-        self, keys, workers: int = 0
-    ) -> list[FabricSearchOutcome]:
+    def search_batch(self, keys) -> list[FabricSearchOutcome]:
         """Search a key batch across the fabric.
 
         Keys routed to the same shard keep their relative order, so
-        each shard's drive-state and trajectory cache evolve exactly as
-        if that key subsequence had been offered to it directly --
+        each shard's drive state evolves exactly as if that key
+        subsequence had been offered to it directly --
         which is what makes the one-chip fabric bit-identical to a
         plain :meth:`~repro.tcam.chip.TCAMChip.search_batch` call,
         ledgers included, once the link components are stripped.
 
         Args:
             keys: Search keys (table width).
-            workers: Process count for the shard fan-out
-                (:func:`~repro.parallel.scatter_gather`); ``<= 1``
-                probes shards in-process.  Results are worker-count
-                invariant.
         """
         keys = list(keys)
         for i, key in enumerate(keys):
@@ -359,7 +337,7 @@ class TCAMFabric:
             matched: list[set[int]] = [set() for _ in range(n)]
 
             self._probe_round(keys, probes, matched, acc_energy, acc_delay,
-                              acc_shards, workers)
+                              acc_shards)
             best = [min(m) if m else None for m in matched]
 
             fallback = [False] * n
@@ -380,7 +358,7 @@ class TCAMFabric:
                 ]
                 fallback = [bool(e) for e in extra]
                 self._probe_round(keys, extra, matched, acc_energy, acc_delay,
-                                  acc_shards, workers)
+                                  acc_shards)
                 best = [min(m) if m else None for m in matched]
 
             link_ledger = EnergyLedger()
@@ -446,7 +424,7 @@ class TCAMFabric:
             return outcomes
 
     def _probe_round(
-        self, keys, probes, matched, acc_energy, acc_delay, acc_shards, workers
+        self, keys, probes, matched, acc_energy, acc_delay, acc_shards
     ) -> None:
         """Run one probe round and fold the shard verdicts into the
         per-key accumulators (in place)."""
@@ -455,26 +433,14 @@ class TCAMFabric:
             for s in shards:
                 by_chip.setdefault(s, []).append(i)
 
-        payloads = []
-        for s in sorted(by_chip):
+        rows = self.bank_rows
+        for s, idxs in sorted(by_chip.items()):
             banks = self.occupied_banks(s)
             if not banks:
                 continue  # an empty shard cannot match and is not probed
-            payloads.append((s, by_chip[s], banks))
-        if not payloads:
-            return
-        results = scatter_gather(
-            _probe_chip,
-            [
-                (self.chips[s], [keys[i] for i in idxs], banks)
-                for s, idxs, banks in payloads
-            ],
-            workers=workers,
-            span_prefix="cluster.shard",
-        )
-        rows = self.bank_rows
-        for (s, idxs, banks), (chip, per_bank) in zip(payloads, results):
-            self.chips[s] = chip
+            chip = self.chips[s]
+            shard_keys = [keys[i] for i in idxs]
+            per_bank = {b: chip.search_batch(shard_keys, banks=b) for b in banks}
             mapped = self.row_rule[s]
             for pos, i in enumerate(idxs):
                 shard_delay = 0.0
@@ -522,7 +488,6 @@ def build_reference_chip(
     table: RuleTable,
     *,
     design: str = "fefet2t",
-    use_kernel: bool = False,
 ) -> TCAMChip:
     """The unsharded reference: one bank holding the whole table in
     priority order.  ``chip.search_batch(keys, banks=0)`` on it is the
@@ -532,6 +497,4 @@ def build_reference_chip(
     geometry = ArrayGeometry(rows=len(table), cols=table.width)
     chip = TCAMChip(lambda: build_array(spec, geometry), n_banks=1)
     chip.load_rows(list(table.rules))
-    if use_kernel:
-        chip.banks[0].enable_kernel()
     return chip

@@ -9,8 +9,8 @@ price.  :class:`UpdateEngine` applies such streams to a live
 * **adds** route through the fabric's distributor (new rules join the
   priority tail), land on the first free row of every replica shard
   via the normal ``chip.write`` path -- so the per-cell trit-transition
-  costs, trajectory-cache flushes and kernel-table rebuilds all happen
-  exactly as they would on a standalone array;
+  costs and SoA snapshot rebuilds happen exactly as they would on a
+  standalone array;
 * **withdrawals** erase every replica to all-X (a real write, priced
   by the estimator) before clearing the valid bit;
 * both directions ship their flits over the interconnect, booking

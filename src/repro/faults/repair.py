@@ -19,8 +19,7 @@ baseline:
   trits, dead rows and SA offsets are not maskable and stay unrepaired.
 
 Both policies mutate the array through its ordinary :meth:`write` /
-:meth:`invalidate` operations (flushing the trajectory cache on the
-way) and book every joule spent under
+:meth:`invalidate` operations and book every joule spent under
 :attr:`~repro.energy.accounting.EnergyComponent.REPAIR` in the report's
 ledger, keeping repair cost separable from search cost downstream.
 

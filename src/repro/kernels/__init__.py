@@ -6,12 +6,12 @@ discharge endpoints over the dense mismatch-class grid once per
 electrical configuration, :class:`SoAState` re-expresses the stored
 trits as contiguous planes so batch mismatch counting is one matmul,
 and :class:`KernelEngine` stitches both into flat per-class sensing
-tables the vectorized ``TCAMArray.search_batch`` path gathers from.
+tables every ``TCAMArray`` batch API gathers from.
 
-Enable per array with ``array.enable_kernel()`` (or construct with
-``use_kernel=True``); the RK4 integrator remains the reference path --
-tables validate against it to ``<= 1e-9`` relative error and
-out-of-grid classes automatically fall back to it.  See DESIGN.md §11.
+Every array builds its engine on first use (``array.kernel``); the
+scalar APIs keep the RK4 integrator as the reference path -- tables
+validate against it to ``<= 1e-9`` relative error, and keys beyond a
+pinned grid fall back to it.  See DESIGN.md §11.
 """
 
 from .engine import (

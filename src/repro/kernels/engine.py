@@ -1,13 +1,14 @@
 """Compiled per-class sensing tables for one array.
 
-The legacy batch engine integrates each distinct mismatch class per
-batch (memoized in the LRU trajectory cache, which every write flushes).
-The kernel engine instead compiles the *entire* class triangle of the
-array's electrical configuration into flat per-``driven`` rows of
+A match line's sensing result depends only on its mismatch class
+``(n_miss, driven)``.  The kernel engine compiles the class triangle of
+the array's electrical configuration into flat per-``driven`` rows of
 sensing results -- match verdicts, restore/dissipation/sense energies,
-strobe and restore delays -- that survive writes (content never enters
-the class physics) and can be gathered with fancy indexing by the
-vectorized batch path.
+strobe and restore delays -- plus per-``driven`` rows of distance-mode
+strobe windows.  The rows survive writes (content never enters the
+class physics), are gathered with fancy indexing by every batch API,
+and are the one memo of class physics the array keeps: the fault-
+injected loop and the per-key distance bodies read them too.
 
 Precharge-style rows are derived from a :class:`WaveformTable` (the
 tabulated RK4 endpoints); current-race rows evaluate the race amp's
@@ -17,10 +18,11 @@ closed form per class.  Both reuse the array's own per-class helpers
 exact object the scalar search would have computed.
 
 Counters: ``table_hits`` counts per-key class queries served from the
-tables, ``rk4_fallbacks`` counts class queries answered by the RK4
-reference path (classes whose ``driven`` exceeds the tabulated grid);
-the array delta-syncs both into the ``MetricsRegistry`` as
-``kernels.table_hits`` / ``kernels.rk4_fallbacks`` at batch boundaries.
+tables, ``rk4_fallbacks`` counts queries answered by the RK4 reference
+path (keys whose ``driven`` exceeds a pinned grid); the array delta-
+syncs both into the ``MetricsRegistry`` as ``kernels.table_hits`` /
+``kernels.rk4_fallbacks`` at batch boundaries.  Every row compilation
+runs inside a ``kernels.build_row`` span.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import obs
 from ..errors import KernelError
 from .waveform import WaveformTable
 
@@ -40,7 +43,7 @@ def sequential_segment_sum(
 
     ``np.add.reduceat`` switches to unrolled/pairwise accumulation for
     longer segments, which is *not* bit-identical to the sequential
-    ``acc = acc + x`` loop the legacy ledger performs.  This helper
+    ``acc = acc + x`` loop the reference ledger performs.  This helper
     accumulates round-robin instead -- round ``r`` adds the ``r``-th
     element of every still-open segment in one vectorized gather -- so
     each segment's sum is exactly ``((0.0 + x0) + x1) + ...`` while the
@@ -63,7 +66,7 @@ class PrechargeClassRow:
     """Per-class sensing results of one ``driven`` value, as flat arrays.
 
     Entry ``n`` of every field is the corresponding attribute of the
-    legacy ``_PrechargeClassResult`` for class ``(n, driven)``.
+    array's ``_PrechargeClassResult`` for class ``(n, driven)``.
     """
 
     v_end: np.ndarray
@@ -142,6 +145,12 @@ class KernelEngine:
         cached = self._rows.get(driven)
         if cached is not None:
             return cached
+        with obs.span("kernels.build_row", table="class", driven=driven):
+            built = self._build_row(driven)
+        self._rows[driven] = built
+        return built
+
+    def _build_row(self, driven: int) -> PrechargeClassRow | RaceClassRow:
         array = self._array
         n = driven + 1
         if array.sensing == "precharge":
@@ -175,7 +184,6 @@ class KernelEngine:
             built = RaceClassRow(is_match=is_match, energy=energy, delay=delay)
         for field in vars(built).values():
             field.setflags(write=False)
-        self._rows[driven] = built
         return built
 
     def precompute(self, drivens: "range | list[int] | None" = None) -> None:
@@ -190,9 +198,9 @@ class KernelEngine:
 
         Entry ``n`` is the time for an ``n``-mismatch line (of ``driven``
         driven columns) to cross the sense reference -- float for float
-        the value ``TCAMArray._nearest_window_cached`` computes, with
-        non-finite crossings clamped to ``t_eval``.  Entry 0 (a full
-        match never crosses) is ``t_eval``.  The distance kernel gathers
+        ``TCAMArray._crossing_time``, with non-finite crossings clamped
+        to ``t_eval``.  Entry 0 (a full match never crosses) is
+        ``t_eval``.  The distance kernel gathers
         nearest/threshold/top-k strobe windows from these rows instead
         of re-deriving them per key.  Precharge sensing only.
         """
@@ -205,23 +213,12 @@ class KernelEngine:
         cached = self._window_rows.get(driven)
         if cached is not None:
             return cached
-        from ..circuits.matchline import MatchLine, MatchLineLoad
-
         array = self._array
-        v_pre = array.precharge.target_voltage()
-        v_ref = array.sense_amp.v_ref
-        out = np.empty(driven + 1)
-        out[0] = array.t_eval
-        for n in range(1, driven + 1):
-            load = MatchLineLoad(
-                capacitance=array.c_ml,
-                n_miss=n,
-                n_match=max(driven - n, 0),
-                i_pulldown=array.cell.i_pulldown,
-                i_leak=array.cell.i_leak,
-            )
-            t_window = MatchLine(load, v_pre, array.vdd).time_to(v_ref)
-            out[n] = array.t_eval if not np.isfinite(t_window) else float(t_window)
+        with obs.span("kernels.build_row", table="window", driven=driven):
+            out = np.empty(driven + 1)
+            out[0] = array.t_eval
+            for n in range(1, driven + 1):
+                out[n] = array._crossing_time(n, driven)
         out.setflags(write=False)
         self._window_rows[driven] = out
         return out

@@ -1,8 +1,8 @@
 """Structure-of-arrays snapshot of a TCAM array's stored state.
 
-The legacy search path keeps the stored trits as one ``(rows, cols)``
-int8 matrix and counts mismatches with a broadcast compare over a
-``(n_keys, rows, cols)`` boolean cube.  The kernel path re-expresses the
+The scalar search path keeps the stored trits as one ``(rows, cols)``
+int8 matrix and counts mismatches with a broadcast compare over the
+columns.  The kernel path re-expresses the
 same content as two contiguous *trit planes* -- ``plane0[r, c] = 1``
 where row ``r`` stores a 0, ``plane1`` likewise for stored 1s -- so the
 whole batch's mismatch counts collapse into two matmuls:
@@ -13,14 +13,7 @@ where ``K1``/``K0`` are the key batch's "drives 1"/"drives 0" indicator
 planes.  Every product term is 0 or 1 and every partial sum is an
 integer bounded by ``cols``, so float32 BLAS accumulates the counts
 *exactly* (all intermediates are integers below 2**24) in any summation
-order -- the result is bit-identical to the legacy broadcast count.
-
-Alongside the planes, the snapshot carries the per-row float vectors
-the kernel consults before vectorizing a batch: sense-amp offsets (from
-an attached fault map) and R/C perturbation hooks.  The fused gather
-path only covers electrically *uniform* rows; any non-uniformity sends
-the batch to the exact legacy machinery instead (see
-:meth:`TCAMArray._search_batch_kernel`).
+order -- the result is bit-identical to the broadcast count.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ _X = 2
 
 @dataclass
 class SoAState:
-    """Planes + per-row vectors derived from one array content version.
+    """Trit planes and valid bits of one array content version.
 
     Attributes:
         version: The array content version this snapshot was built from;
@@ -45,53 +38,28 @@ class SoAState:
         plane0_t: ``(cols, rows)`` float32, 1.0 where the row stores 0.
         plane1_t: ``(cols, rows)`` float32, 1.0 where the row stores 1.
         valid: ``(rows,)`` bool copy of the valid bits.
-        sa_offset: ``(rows,)`` float64 per-row sense-amp offsets.
-        c_ml_scale: ``(rows,)`` float64 per-row ML capacitance scale
-            (1.0 nominal; reserved for variability hooks).
     """
 
     version: int
     plane0_t: np.ndarray
     plane1_t: np.ndarray
     valid: np.ndarray
-    sa_offset: np.ndarray
-    c_ml_scale: np.ndarray
 
     @classmethod
     def from_array(cls, array, version: int) -> "SoAState":
-        """Snapshot ``array``'s stored content and per-row perturbations."""
+        """Snapshot ``array``'s stored content."""
         stored = array._stored
-        rows = array.geometry.rows
         if array.geometry.cols >= 2**24:
             # float32 accumulation is only exact while every partial sum
             # (bounded by cols) stays an exact float32 integer.
             raise KernelError("SoA matmul counts require cols < 2**24")
         plane0_t = np.ascontiguousarray((stored == 0).T, dtype=np.float32)
         plane1_t = np.ascontiguousarray((stored == 1).T, dtype=np.float32)
-        faults = array.faults
-        if faults is not None:
-            sa_offset = np.asarray(faults.sa_offset, dtype=np.float64).copy()
-        else:
-            sa_offset = np.zeros(rows)
         return cls(
             version=version,
             plane0_t=plane0_t,
             plane1_t=plane1_t,
             valid=array._valid.copy(),
-            sa_offset=sa_offset,
-            c_ml_scale=np.ones(rows),
-        )
-
-    def is_uniform(self) -> bool:
-        """True when every row shares the nominal electrical parameters.
-
-        The fused per-class gather assumes one sensing result per
-        mismatch class; per-row offsets or R/C scaling break that
-        grouping, so a non-uniform snapshot routes batches to the exact
-        per-row path.
-        """
-        return bool(
-            np.all(self.sa_offset == 0.0) and np.all(self.c_ml_scale == 1.0)
         )
 
     def mismatch_counts(self, packed: np.ndarray) -> np.ndarray:

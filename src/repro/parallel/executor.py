@@ -32,40 +32,28 @@ Serial fallback triggers: ``workers <= 1``, a single payload, a worker
 function or payload that does not pickle (lambdas, closures), or a pool
 that cannot start / dies (``BrokenProcessPool`` / ``OSError``).
 
-Transports
+Warm pools
 ----------
-Pools are *warm*: one ``ProcessPoolExecutor`` per worker count is kept
-alive across calls (``shutdown_pools`` tears them down, and runs
-atexit), so repeated fan-outs do not pay process start-up each time.
-Two transports move the data:
-
-* pickle (:func:`scatter_gather`) -- each chunk's payload is serialized
-  whole; simple, but bulk arrays are copied once per chunk.
-* shared memory (:func:`scatter_gather_shared`) -- bulk arrays are
-  placed in named segments once (:mod:`repro.parallel.shm`) and chunks
-  pickle only their metadata.
-
-Both record what actually crossed the process boundary: the
-``parallel.payload_bytes`` metric histogram and
-:func:`last_payload_stats`.
+One ``ProcessPoolExecutor`` per worker count is kept alive across calls
+(``shutdown_pools`` tears them down, and runs at interpreter exit), so
+repeated fan-outs do not pay process start-up each time.  Payloads
+cross the process boundary by pickle.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, TypeVar
-
-import numpy as np
 
 from .. import obs
 from ..obs.metrics import MetricsRegistry
 from ..obs.span import Span
 from .seeding import chunk_bounds, default_chunk_size
-from .shm import SharedArena, ShmSpec, attached, shared_memory_available
 
 _P = TypeVar("_P")
 _R = TypeVar("_R")
@@ -104,9 +92,7 @@ def _discard_pool(n_workers: int, wait: bool = False) -> None:
     """Drop a pool from the cache and shut it down.
 
     ``wait=False`` (the default) is the broken-pool path: abandon
-    whatever is in flight.  ``wait=True`` drains the pool first, which
-    the ordered atexit hook relies on so no worker is still attaching to
-    shared-memory segments when the arena sweep unlinks them.
+    whatever is in flight.  ``wait=True`` drains the pool first.
     """
     pool = _POOLS.pop(n_workers, None)
     if pool is not None:
@@ -120,47 +106,15 @@ def shutdown_pools(wait: bool = False) -> None:
     """Shut down every warm worker pool.
 
     Args:
-        wait: Drain in-flight chunks before returning.  The interpreter-
-            shutdown hook (:func:`repro.parallel._parallel_atexit`) passes
-            ``True`` so a long-lived serving process cannot tear down
-            warm pools while workers still hold shared-memory
-            attachments; interactive callers keep the fast default.
+        wait: Drain in-flight chunks before returning (the interpreter-
+            exit hook passes ``True``); interactive callers keep the fast
+            default.
     """
     for n_workers in list(_POOLS):
         _discard_pool(n_workers, wait=wait)
 
 
-# -- payload accounting ----------------------------------------------------
-
-_LAST_PAYLOAD_STATS: dict | None = None
-
-
-def last_payload_stats() -> dict | None:
-    """What the most recent scatter/gather shipped across processes.
-
-    ``None`` until a fan-out has run; otherwise a dict with the
-    ``transport`` used (``"pickle"`` / ``"shm"`` / ``"serial"``), the
-    pickled ``chunk_bytes`` per chunk, the once-only ``shared_bytes``
-    (shm transport) and their ``total_bytes``.  Serial runs ship
-    nothing, so both byte figures are zero.
-    """
-    return _LAST_PAYLOAD_STATS
-
-
-def _record_payload_stats(
-    transport: str, chunk_bytes: list[int], shared_bytes: int = 0
-) -> None:
-    global _LAST_PAYLOAD_STATS
-    # Deliberately not booked into the MetricsRegistry: metric snapshots
-    # are bit-identical across worker counts (a tested invariant), and
-    # payload sizes are inherently transport-dependent.
-    _LAST_PAYLOAD_STATS = {
-        "transport": transport,
-        "chunks": len(chunk_bytes),
-        "chunk_bytes": list(chunk_bytes),
-        "shared_bytes": int(shared_bytes),
-        "total_bytes": int(sum(chunk_bytes)) + int(shared_bytes),
-    }
+atexit.register(shutdown_pools, wait=True)
 
 
 def _run_chunk(fn: Callable[[_P], _R], payload: _P) -> tuple[_R, list[Span], MetricsRegistry]:
@@ -228,11 +182,11 @@ def scatter_gather(
         return []
     n_workers = min(resolve_workers(workers), len(payloads))
     if n_workers <= 1:
-        _record_payload_stats("serial", [0] * len(payloads))
         return _serial(fn, payloads, span_prefix)
     try:
         pickle.dumps(fn)
-        chunk_bytes = [len(pickle.dumps(p)) for p in payloads]
+        for p in payloads:
+            pickle.dumps(p)
     except Exception:
         return _serial(fn, payloads, span_prefix)
     try:
@@ -247,112 +201,6 @@ def scatter_gather(
         # are pure, so rerunning everything serially is safe.
         _discard_pool(n_workers)
         return _serial(fn, payloads, span_prefix)
-    _record_payload_stats("pickle", chunk_bytes)
-    return _graft(gathered, span_prefix)
-
-
-def _run_chunk_shared(
-    fn: Callable[[Mapping[str, np.ndarray], _P], _R],
-    specs: dict[str, ShmSpec],
-    meta: _P,
-) -> tuple[_R, list[Span], MetricsRegistry]:
-    """Worker-side wrapper of the shared-memory transport.
-
-    Maps the shared arrays, runs ``fn`` under a fresh obs session, and
-    unmaps before returning -- anything the worker wants to keep must be
-    copied out of the views (results are pickled back, which copies).
-    """
-    with obs.observe() as session:
-        with attached(specs) as views:
-            result = fn(views, meta)
-    return result, session.tracer.roots, session.metrics
-
-
-def _serial_shared(
-    fn: Callable[[Mapping[str, np.ndarray], _P], _R],
-    arrays: Mapping[str, np.ndarray],
-    metas: Sequence[_P],
-    span_prefix: str,
-) -> list[_R]:
-    """In-process shared-transport execution: zero copies, same spans."""
-    results: list[_R] = []
-    for i, meta in enumerate(metas):
-        with obs.span(f"{span_prefix}.chunk[{i}]"):
-            results.append(fn(arrays, meta))
-    return results
-
-
-def scatter_gather_shared(
-    fn: Callable[[Mapping[str, np.ndarray], _P], _R],
-    arrays: Mapping[str, np.ndarray],
-    metas: Iterable[_P],
-    *,
-    workers: int | None = 0,
-    span_prefix: str = "parallel",
-) -> list[_R]:
-    """Fan ``fn`` out over chunks that share bulk arrays via shared memory.
-
-    The arrays are copied into named shared-memory segments **once**;
-    each chunk then pickles only ``(segment specs, meta)``, so per-chunk
-    IPC cost is independent of the bulk size.  Workers receive read-only
-    views -- ``fn`` must treat the array mapping as immutable (the
-    serial path hands it the caller's arrays directly, zero-copy).
-
-    Args:
-        fn: Pure picklable function ``fn(views, meta) -> result`` where
-            ``views`` maps each key of ``arrays`` to an ``np.ndarray``.
-            Must not return anything referencing the views.
-        arrays: Bulk read-only arrays shared by every chunk.
-        metas: One (small, picklable) metadata object per chunk.
-        workers: Process count; ``<= 1`` runs serially in-process.
-        span_prefix: Span-name prefix for the per-chunk grafting spans.
-
-    Returns:
-        ``[fn(arrays, m) for m in metas]`` in meta order -- bit-identical
-        to serial for any worker count, by the purity contract.
-
-    Falls back to the serial path when shared memory is unavailable,
-    ``fn``/``metas`` do not pickle, segment allocation fails, or the
-    pool dies.  The arena is closed and unlinked in a ``finally``, so
-    neither a worker exception nor an interrupt leaks ``/dev/shm``
-    segments (an ``atexit`` sweep covers even harder exits).
-    """
-    metas = list(metas)
-    if not metas:
-        return []
-    n_workers = min(resolve_workers(workers), len(metas))
-    if n_workers <= 1 or not shared_memory_available():
-        _record_payload_stats("serial", [0] * len(metas))
-        return _serial_shared(fn, arrays, metas, span_prefix)
-    try:
-        pickle.dumps(fn)
-        chunk_bytes = [len(pickle.dumps(m)) for m in metas]
-    except Exception:
-        return _serial_shared(fn, arrays, metas, span_prefix)
-    arena = None
-    try:
-        try:
-            arena = SharedArena()
-            for key, array in arrays.items():
-                arena.share(key, np.asarray(array))
-        except OSError:
-            # Segment allocation failed (/dev/shm full or absent); the
-            # data never left this process, so run in-process instead.
-            return _serial_shared(fn, arrays, metas, span_prefix)
-        specs = arena.specs
-        try:
-            pool = _get_pool(n_workers)
-            futures = [
-                pool.submit(_run_chunk_shared, fn, specs, meta) for meta in metas
-            ]
-            gathered = [future.result() for future in futures]
-        except (BrokenProcessPool, OSError):
-            _discard_pool(n_workers)
-            return _serial_shared(fn, arrays, metas, span_prefix)
-        _record_payload_stats("shm", chunk_bytes, shared_bytes=arena.nbytes())
-    finally:
-        if arena is not None:
-            arena.close()
     return _graft(gathered, span_prefix)
 
 

@@ -11,6 +11,13 @@ given cell technology and executes the two TCAM operations:
 * :meth:`TCAMArray.write` -- replace one stored word, paying the cell
   technology's per-trit transition costs.
 
+Engine rule: the scalar APIs (:meth:`~TCAMArray.search`,
+:meth:`~TCAMArray.nearest_match`, :meth:`~TCAMArray.threshold_match`,
+:meth:`~TCAMArray.topk_match`) are the golden reference; every ``*_batch``
+API runs on the compiled kernel (:mod:`repro.kernels`) and is
+bit-identical to a loop of scalar calls.  Fault-injected batches keep
+the per-key reference loop.
+
 Two sensing styles are supported (``sensing="precharge"`` and
 ``sensing="current_race"``), covering the conventional NOR scheme and the
 precharge-free scheme of Design CR.  The match decision is *physical*: the
@@ -37,16 +44,8 @@ from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..energy.estimator import ArrayEstimator
 from ..errors import TCAMError
 from ..faults.faultmap import FaultKind, FaultMap
-from ..parallel import (
-    chunk_bounds,
-    default_chunk_size,
-    resolve_workers,
-    scatter_gather,
-    scatter_gather_shared,
-)
 from .area import TECH_45NM, TechNode, cell_dimensions
 from .cell import CellDescriptor
-from .mlcache import TrajectoryCache
 from .outcome import BaseOutcome
 from .priority import PriorityEncoder
 from .trit import (
@@ -55,7 +54,6 @@ from .trit import (
     drive_matrix,
     drive_vector,
     mismatch_counts,
-    mismatch_counts_batch,
     pack_keys,
 )
 
@@ -82,65 +80,6 @@ _SPAN_ENERGY_GROUPS = {
     EnergyComponent.PRIORITY_ENCODER.value: "array.encode",
     EnergyComponent.LEAKAGE.value: "array.standby",
 }
-
-
-def _integrate_class_chunk(
-    payload: tuple["TCAMArray", list[tuple[int, int]]],
-) -> list["_PrechargeClassResult | _RaceClassResult"]:
-    """Integrate one chunk of mismatch classes (pure worker fn).
-
-    The worker operates on a pickled copy of the array and returns the
-    sensing results; the parent installs them into the *real* trajectory
-    cache in the order :meth:`TCAMArray._fill_class_cache` would have.
-    """
-    array, pairs = payload
-    if array.sensing == "precharge":
-        v_ends = array._ml_voltages_after_eval(pairs)
-        return [array._precharge_class_from_v_end(v) for v in v_ends]
-    return [array._race_class(n_miss, driven) for n_miss, driven in pairs]
-
-
-def _assemble_chunk_shared(views, meta) -> list["SearchOutcome"]:
-    """Assemble one chunk of batch outcomes (pure shared-transport worker).
-
-    The bulk per-key state -- mismatch matrix, dense per-class count
-    matrices, toggle/driven vectors and the active mask -- arrives as
-    read-only shared-memory ``views``; the pickled ``meta`` carries only
-    the array model, the chunk's class results and its key bounds.  The
-    per-key ``unique`` class vector is rebuilt from the dense counts:
-    classes whose active *and* valid counts are both zero are dropped,
-    which is outcome-identical because :meth:`TCAMArray._assemble_outcome`
-    skips zero-count entries in every loop.  The worker never touches a
-    trajectory cache, so re-running it (serial fallback) has no side
-    effects.
-    """
-    array, e_toggle, class_results_by_pair, lo, hi = meta
-    active = views["active"]
-    outcomes = []
-    for k in range(lo, hi):
-        dense_active = views["counts_active"][k]
-        dense_valid = views["counts_valid"][k]
-        unique = np.flatnonzero((dense_active != 0) | (dense_valid != 0))
-        driven = int(views["driven"][k])
-        class_results = {
-            int(n): class_results_by_pair[(int(n), driven)]
-            for n, c in zip(unique, dense_active[unique])
-            if c
-        }
-        ledger = EnergyLedger()
-        ledger.add(EnergyComponent.SEARCHLINE, int(views["toggles"][k]) * e_toggle)
-        outcomes.append(
-            array._assemble_outcome(
-                ledger,
-                views["miss"][k],
-                active,
-                unique,
-                dense_active[unique],
-                dense_valid[unique],
-                class_results,
-            )
-        )
-    return outcomes
 
 
 @dataclass(frozen=True)
@@ -200,8 +139,9 @@ class _PrechargeClassResult:
     One instance covers every row sharing ``(n_miss, driven_cols)``: the
     trajectory endpoint, the sense decision derived from it and the
     per-line restore costs.  These are exactly the quantities the scalar
-    search recomputes per class per search; the batch engine computes
-    them once per class per batch (and caches them across batches).
+    search recomputes per class per search; the compiled kernel holds
+    them as flat per-``driven`` rows (see
+    :class:`~repro.kernels.PrechargeClassRow`).
     """
 
     v_end: float
@@ -379,11 +319,6 @@ class TCAMArray:
             over this array's cell and sensing chain (bit-identical to
             the historical inline accounting).  Pass a factory to study
             alternative cost models without touching the physics.
-        use_kernel: Enable the compiled search kernel (tabulated
-            discharge endpoints + SoA batch state, see
-            :mod:`repro.kernels`) for ``search_batch``; equivalent to
-            calling :meth:`enable_kernel` after construction.  The
-            scalar :meth:`search` always keeps the reference path.
     """
 
     def __init__(
@@ -401,7 +336,6 @@ class TCAMArray:
         sl_wire: WireModel = M4_WIRE,
         encoder: PriorityEncoder | None = None,
         estimator: "Callable[[TCAMArray], ArrayEstimator] | None" = None,
-        use_kernel: bool = False,
     ) -> None:
         if sensing not in _SENSING_STYLES:
             raise TCAMError(f"sensing must be one of {_SENSING_STYLES}, got {sensing!r}")
@@ -417,14 +351,16 @@ class TCAMArray:
         self._valid = np.zeros(rows, dtype=bool)
         self._write_counts = np.zeros((rows, cols), dtype=np.int64)
         self._last_drive: tuple[int, ...] | None = None
-        self._ml_cache = TrajectoryCache()
         self._faults: FaultMap | None = None
         self._faults_seen_version = -1
         self._faults_empty = True
-        # Compiled-kernel state: the engine compiles per-class sensing
-        # tables that survive writes; the SoA snapshot tracks stored
-        # content through this version counter (bumped by every write /
-        # invalidate / fault-map change).
+        # Retention-degraded fault classes -> sensing results; valid for
+        # one fault-map version (cleared when the map changes).
+        self._retention_memo: dict[tuple, _PrechargeClassResult] = {}
+        # Compiled-kernel state: the engine (built on first use) compiles
+        # per-class sensing tables that survive writes; the SoA snapshot
+        # tracks stored content through this version counter (bumped by
+        # every write / invalidate / fault-map change).
         self._content_version = 0
         self._kernel = None
         self._soa = None
@@ -484,9 +420,6 @@ class TCAMArray:
         # Every ledger booking below goes through this estimator; the
         # default reproduces the historical inline formulas bit for bit.
         self.estimator = ArrayEstimator(self) if estimator is None else estimator(self)
-
-        if use_kernel:
-            self.enable_kernel()
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -549,22 +482,17 @@ class TCAMArray:
     def write(self, row: int, word: TernaryWord) -> WriteOutcome:
         """Store ``word`` at ``row``, paying per-cell transition costs.
 
-        Cache-invalidation rule: every write flushes the match-line
-        trajectory cache used by :meth:`search_batch` and
-        :meth:`nearest_match_batch`.  The cached trajectories depend only
-        on the mismatch class and the electrical configuration (which is
-        fixed at construction), so this is conservative -- but it makes
-        staleness structurally impossible and costs one dict clear.  The
-        same flush runs on :meth:`invalidate` and (via the per-row writes)
-        :meth:`load`.
+        A write moves the content version, so the next batch rebuilds the
+        SoA snapshot; the compiled class tables depend only on the
+        electrical configuration and survive.  A rejected write (bad row
+        or width) changes nothing.
         """
         self._check_row(row)
-        self._ml_cache.invalidate()
-        self._content_version += 1
         if len(word) != self.geometry.cols:
             raise TCAMError(
                 f"word width {len(word)} does not match array cols {self.geometry.cols}"
             )
+        self._content_version += 1
         ledger = EnergyLedger()
         latency = 0.0
         changed = 0
@@ -590,10 +518,9 @@ class TCAMArray:
     def invalidate(self, row: int) -> None:
         """Remove ``row`` from match participation (erase to all-X).
 
-        Flushes the trajectory cache, like :meth:`write`.
+        Moves the content version, like :meth:`write`.
         """
         self._check_row(row)
-        self._ml_cache.invalidate()
         self._content_version += 1
         self._stored[row] = int(Trit.X)
         self._valid[row] = False
@@ -613,15 +540,15 @@ class TCAMArray:
     def load_rows(
         self, words: Sequence[TernaryWord], start_row: int = 0
     ) -> EnergyLedger:
-        """Bulk-write ``words`` into consecutive rows with one cache flush.
+        """Bulk-write ``words`` into consecutive rows with one version bump.
 
         Ledger-identical to :meth:`load` (the same per-cell transition
-        costs accumulate in the same row-major order), but the trajectory
-        cache flushes once and ``_content_version`` moves once for the
-        whole corpus instead of once per row -- the difference between
-        one SoA/kernel rebuild and 100k of them when a retrieval corpus
-        loads.  The per-cell costs come from the estimator's 3x3
-        ``(old, new)`` transition table gathered over the block.
+        costs accumulate in the same row-major order), but
+        ``_content_version`` moves once for the whole corpus instead of
+        once per row -- the difference between one SoA rebuild and 100k
+        of them when a retrieval corpus loads.  The per-cell costs come
+        from the estimator's 3x3 ``(old, new)`` transition table gathered
+        over the block.
         """
         words = list(words)
         n_rows = len(words)
@@ -639,7 +566,6 @@ class TCAMArray:
                     f"word width {len(word)} does not match array cols "
                     f"{self.geometry.cols}"
                 )
-        self._ml_cache.invalidate()
         self._content_version += 1
         cols = self.geometry.cols
         new = np.stack([w.as_array() for w in words])
@@ -682,11 +608,11 @@ class TCAMArray:
         output bit-flips.  An **empty** map is equivalent to no map:
         the search path taken is the ordinary one, bit for bit.
 
-        Cache rule: attaching (and any later mutation of the attached
-        map, detected through :attr:`FaultMap.version`) flushes the
-        trajectory cache, and fault-class entries additionally carry
-        the map version in their keys -- stale trajectories are
-        structurally impossible.
+        Memo rule: attaching (and any later mutation of the attached
+        map, detected through :attr:`FaultMap.version`) clears the
+        retention-class memo, so stale fault trajectories are
+        structurally impossible.  Nominal classes come from the compiled
+        tables, which faults never change.
 
         Args:
             faults: The defect map (array-shaped), or ``None`` to detach.
@@ -706,11 +632,11 @@ class TCAMArray:
         else:
             self._faults_seen_version = faults.version
             self._faults_empty = faults.is_empty()
-        self._ml_cache.invalidate()
+        self._retention_memo.clear()
         self._content_version += 1
 
     def detach_faults(self) -> None:
-        """Remove the attached defect map (flushes the trajectory cache)."""
+        """Remove the attached defect map (clears the retention memo)."""
         self.attach_faults(None)
 
     @property
@@ -722,14 +648,14 @@ class TCAMArray:
         """True when a non-empty fault map must shape the next search.
 
         Re-inspects the attached map when its version counter moved
-        (in-place mutation after attach) and flushes the trajectory
-        cache once per such change.
+        (in-place mutation after attach) and clears the retention memo
+        once per such change.
         """
         fm = self._faults
         if fm is None:
             return False
         if fm.version != self._faults_seen_version:
-            self._ml_cache.invalidate()
+            self._retention_memo.clear()
             self._content_version += 1
             self._faults_seen_version = fm.version
             self._faults_empty = fm.is_empty()
@@ -767,22 +693,15 @@ class TCAMArray:
         One signature ``(n_strong, weak_offsets, n_leak)`` covers every
         row sharing that pull-down composition; all missing signatures
         integrate in one stacked RK4 pass (same 65-point grid as the
-        nominal classes) and cache under keys carrying the fault-map
-        version.
+        nominal classes) and land in the retention memo, which lives as
+        long as the fault-map version does.
         """
-        results: dict[tuple, _PrechargeClassResult] = {}
-        v_pre = self.precharge.target_voltage()
-        fm_version = self._faults.version
-        missing: list[tuple] = []
-        for sig in sigs:
-            key = ("fpre", fm_version, sig, v_pre, self.t_eval)
-            cached = self._ml_cache.get(key)
-            if cached is not None:
-                results[sig] = cached
-            else:
-                missing.append(sig)
+        memo = self._retention_memo
+        results = {sig: memo[sig] for sig in sigs if sig in memo}
+        missing = [sig for sig in sigs if sig not in memo]
         if not missing:
             return results
+        v_pre = self.precharge.target_voltage()
 
         i_pulldown = self.cell.i_pulldown
         i_leak = self.cell.i_leak
@@ -808,7 +727,7 @@ class TCAMArray:
             )
         for sig, v_end in zip(missing, v_ends):
             result = self._precharge_class_from_v_end(float(v_end))
-            self._ml_cache.put(("fpre", fm_version, sig, v_pre, self.t_eval), result)
+            memo[sig] = result
             results[sig] = result
         return results
 
@@ -855,9 +774,7 @@ class TCAMArray:
         any_sensed = bool(np.any(sensed))
         if self.sensing == "precharge":
             nominal = np.unique(n_pull[sensed & (n_weak == 0)])
-            class_results = {
-                int(n): self._cached_class(int(n), driven_cols) for n in nominal
-            }
+            class_results = self._class_results(nominal, driven_cols)
             sig_results = self._fault_precharge_results(set(weak_sigs.values()))
             t_sa_max = 0.0
             t_restore_max = 0.0
@@ -954,8 +871,10 @@ class TCAMArray:
     def search(self, key: TernaryWord, row_mask: np.ndarray | None = None) -> SearchOutcome:
         """Execute one search and account its energy and timing.
 
-        When an observability session is active, the search is traced as
-        an ``array.search`` span whose per-phase children carry exact
+        This is the golden reference every batch path is tested against:
+        each mismatch class is integrated by RK4 on the spot.  When an
+        observability session is active, the search is traced as an
+        ``array.search`` span whose per-phase children carry exact
         slices of the returned ledger (see :data:`_SPAN_ENERGY_GROUPS`).
 
         Args:
@@ -971,10 +890,22 @@ class TCAMArray:
             cols=self.geometry.cols,
             sensing=self.sensing,
         ) as sp:
+            self._book_path("faulty" if self._fault_injection_active() else "scalar")
             outcome = self._search_impl(key, row_mask)
             if sp is not None:
                 self._book_search_span(sp, outcome, n_searches=1)
             return outcome
+
+    def _active_mask(self, row_mask: np.ndarray | None) -> np.ndarray:
+        """The per-row evaluation mask (all rows when ``row_mask`` is None)."""
+        if row_mask is None:
+            return np.ones(self.geometry.rows, dtype=bool)
+        active = np.asarray(row_mask, dtype=bool)
+        if active.shape != (self.geometry.rows,):
+            raise TCAMError(
+                f"row_mask must have shape ({self.geometry.rows},), got {active.shape}"
+            )
+        return active
 
     def _search_impl(
         self, key: TernaryWord, row_mask: np.ndarray | None = None
@@ -983,77 +914,60 @@ class TCAMArray:
             raise TCAMError(
                 f"key width {len(key)} does not match array cols {self.geometry.cols}"
             )
-        if row_mask is None:
-            active = np.ones(self.geometry.rows, dtype=bool)
-        else:
-            active = np.asarray(row_mask, dtype=bool)
-            if active.shape != (self.geometry.rows,):
-                raise TCAMError(
-                    f"row_mask must have shape ({self.geometry.rows},), got {active.shape}"
-                )
+        active = self._active_mask(row_mask)
         if self._fault_injection_active():
             return self._search_impl_faulty(key, active)
         key_arr = key.as_array()
         driven_cols = int(np.count_nonzero(key_arr != int(Trit.X)))
         miss = mismatch_counts(self._stored, key_arr)
+        ledger = EnergyLedger()
+        self._book_searchline_energy(ledger, key)
+        return self._search_key(ledger, miss, driven_cols, active)
 
+    def _search_key(
+        self, ledger: EnergyLedger, miss: np.ndarray, driven_cols: int, active: np.ndarray
+    ) -> SearchOutcome:
+        """Reference search body for one key whose SL energy is booked.
+
+        Every active mismatch class is integrated directly by RK4 (no
+        memo).  Shared by the scalar :meth:`search` and the kernel's
+        per-key fallback for keys beyond a pinned engine grid.
+        """
         # One np.unique covers both the sensing class grouping (over the
         # active rows) and the miss histogram (over the valid rows).
         unique, inverse = np.unique(miss, return_inverse=True)
         counts_active = np.bincount(inverse[active], minlength=unique.size)
         counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-
-        ledger = EnergyLedger()
-        self._book_searchline_energy(ledger, key)
-
-        if self.sensing == "precharge":
-            class_results = {
-                int(n): self._precharge_class(int(n), driven_cols)
-                for n, c in zip(unique, counts_active)
-                if c
-            }
-        else:
-            class_results = {
-                int(n): self._race_class(int(n), driven_cols)
-                for n, c in zip(unique, counts_active)
-                if c
-            }
-        outcome = self._assemble_outcome(
+        compute = self._precharge_class if self.sensing == "precharge" else self._race_class
+        class_results = {
+            int(n): compute(int(n), driven_cols)
+            for n, c in zip(unique, counts_active)
+            if c
+        }
+        return self._assemble_outcome(
             ledger, miss, active, unique, counts_active, counts_valid, class_results
         )
-        return outcome
 
     def search_batch(
         self,
         keys: Iterable[TernaryWord],
         row_mask: np.ndarray | None = None,
-        workers: int = 0,
     ) -> list[SearchOutcome]:
-        """Execute many searches with shared per-class trajectory work.
+        """Execute many searches on the compiled kernel.
 
         Produces exactly the :class:`SearchOutcome` sequence that calling
         :meth:`search` once per key would (including the sequential
         search-line toggle semantics: the first key toggles against the
         array's current drive state and each subsequent key against its
-        predecessor), but the match-line trajectory, sense-amp strobe and
-        restore time of each distinct ``(n_miss, driven_cols)`` mismatch
-        class are computed once for the whole batch -- via the array's
-        bounded LRU trajectory cache, so consecutive batches over an
-        unwritten array reuse them outright.
-
-        With ``workers > 1`` the class integrations and the per-key
-        outcome assembly fan out across processes; outcomes, the
-        trajectory cache's state and its hit counters stay bit-identical
-        to the serial path because the parent performs every cache access
-        itself, in serial order, and ships only pure computations to the
-        workers.
+        predecessor), but mismatch counts come from one SoA matmul and
+        every per-class sensing quantity from the compiled tables (see
+        :meth:`_search_batch_kernel`).  A non-empty fault map sends the
+        batch through the per-key reference loop instead.
 
         Args:
             keys: Search keys, all of the array's width.
             row_mask: Optional per-row evaluation mask applied to every
                 key in the batch (as in :meth:`search`).
-            workers: Process count for the fan-out; ``<= 1`` (the
-                default) keeps the fully serial path.
         """
         keys = list(keys)
         if not keys:
@@ -1065,196 +979,60 @@ class TCAMArray:
             sensing=self.sensing,
             n_keys=len(keys),
         ) as sp:
-            m = obs.metrics()
-            cache_before = self._cache_counters() if m is not None else None
-            kernel_before = (
-                (self._kernel.table_hits, self._kernel.rk4_fallbacks)
-                if m is not None and self._kernel is not None
-                else None
-            )
-            outcomes = self._search_batch_impl(keys, row_mask, workers=workers)
-            if sp is not None:
-                ledger = EnergyLedger.sum(o.energy for o in outcomes)
-                sp.add_energy(ledger)
-                self._book_batch_metrics(len(keys), ledger)
-            if m is not None:
-                self._book_cache_metrics(m, cache_before)
-                if kernel_before is not None and self._kernel is not None:
-                    self._book_kernel_metrics(m, kernel_before)
-            return outcomes
+            return self._run_batch(sp, self._search_batch_impl, keys, row_mask)
 
     def _search_batch_impl(
         self,
         keys: list[TernaryWord],
         row_mask: np.ndarray | None = None,
-        workers: int = 0,
     ) -> list[SearchOutcome]:
         if self._fault_injection_active():
-            # Per-row faults break the per-class dedup the batch engine is
-            # built around, so a faulty batch is the per-key serial loop
-            # (which preserves the sequential SL-toggle semantics and is
-            # trivially identical for every worker count).  Campaigns
-            # parallelize across trials instead -- see
+            # Per-row faults break the per-class grouping the kernel is
+            # built around, so a faulty batch is the per-key reference
+            # loop (which preserves the sequential SL-toggle semantics).
+            # Campaigns parallelize across trials instead -- see
             # :mod:`repro.analysis.faultcampaign`.
+            self._book_path("faulty")
             return [self._search_impl(key, row_mask) for key in keys]
-        packed = pack_keys(keys)
-        if packed.shape[1] != self.geometry.cols:
-            raise TCAMError(
-                f"key width {packed.shape[1]} does not match array cols "
-                f"{self.geometry.cols}"
-            )
-        if row_mask is None:
-            active = np.ones(self.geometry.rows, dtype=bool)
-        else:
-            active = np.asarray(row_mask, dtype=bool)
-            if active.shape != (self.geometry.rows,):
-                raise TCAMError(
-                    f"row_mask must have shape ({self.geometry.rows},), got {active.shape}"
-                )
-
-        if self._kernel is not None:
-            soa = self._soa_state()
-            if soa.is_uniform():
-                # The compiled path is already a handful of fused numpy
-                # ops; the RK4 fan-out that ``workers`` parallelizes
-                # does not exist here, so the batch runs in-process.
-                return self._search_batch_kernel(packed, active, soa)
-
-        miss_all = mismatch_counts_batch(self._stored, packed)
-        driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
-        toggles = self._batch_toggles(packed)
-        e_toggle = self.estimator.sl_toggle_energy()
-
-        # Per-key class grouping (one np.unique per key, reused for the
-        # histogram), plus the distinct class set of the whole batch.
-        per_key: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        needed: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        with obs.span("array.class_dedup", n_keys=len(keys)) as sp:
-            for k in range(len(keys)):
-                unique, inverse = np.unique(miss_all[k], return_inverse=True)
-                counts_active = np.bincount(inverse[active], minlength=unique.size)
-                counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-                per_key.append((unique, counts_active, counts_valid))
-                driven = int(driven_all[k])
-                for n, c in zip(unique, counts_active):
-                    if c:
-                        pair = (int(n), driven)
-                        if pair not in seen:
-                            seen.add(pair)
-                            if self._ml_cache.get(self._class_cache_key(pair)) is None:
-                                needed.append(pair)
-            if sp is not None:
-                sp.annotate(distinct_classes=len(seen), to_integrate=len(needed))
-
-        if resolve_workers(workers) > 1:
-            return self._finish_batch_parallel(
-                per_key, needed, miss_all, driven_all, toggles, e_toggle, active, workers
-            )
-
-        self._fill_class_cache(needed)
-
-        outcomes: list[SearchOutcome] = []
-        for k, (unique, counts_active, counts_valid) in enumerate(per_key):
-            ledger = EnergyLedger()
-            ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-            driven = int(driven_all[k])
-            class_results = {
-                int(n): self._cached_class(int(n), driven)
-                for n, c in zip(unique, counts_active)
-                if c
-            }
-            outcomes.append(
-                self._assemble_outcome(
-                    ledger,
-                    miss_all[k],
-                    active,
-                    unique,
-                    counts_active,
-                    counts_valid,
-                    class_results,
-                )
-            )
-        return outcomes
-
-    def _finish_batch_parallel(
-        self,
-        per_key: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-        needed: list[tuple[int, int]],
-        miss_all: np.ndarray,
-        driven_all: np.ndarray,
-        toggles: np.ndarray,
-        e_toggle: float,
-        active: np.ndarray,
-        workers: int,
-    ) -> list[SearchOutcome]:
-        """Parallel tail of :meth:`_search_batch_impl`.
-
-        The real trajectory cache stays parent-owned: missing classes are
-        integrated by pure workers (chunk bounds depend only on the class
-        count) and installed here in :meth:`_fill_class_cache` order, and
-        the per-key class fetches below run in serial key order -- so the
-        cache's LRU state and hit/miss counters match a serial run
-        exactly.  Only side-effect-free work crosses the process boundary,
-        and the bulk of it (mismatch matrix, dense per-class counts,
-        toggle/driven vectors) crosses once via shared memory; each chunk
-        pickles only the array model, its class results and key bounds.
-        """
-        if needed:
-            bounds = chunk_bounds(len(needed), default_chunk_size(len(needed)))
-            results = scatter_gather(
-                _integrate_class_chunk,
-                [(self, needed[lo:hi]) for lo, hi in bounds],
-                workers=workers,
-                span_prefix="array.integrate",
-            )
-            for (lo, hi), chunk in zip(bounds, results):
-                for pair, result in zip(needed[lo:hi], chunk):
-                    self._ml_cache.put(self._class_cache_key(pair), result)
-
-        # Serial-key-order cache fetches (cache counter/LRU semantics),
-        # then densify the per-key class counts so the per-chunk payload
-        # no longer carries per-key arrays.
-        n_keys = len(per_key)
-        cols = self.geometry.cols
-        per_key_classes: list[dict[tuple[int, int], object]] = []
-        dense_active = np.zeros((n_keys, cols + 1), dtype=np.int64)
-        dense_valid = np.zeros((n_keys, cols + 1), dtype=np.int64)
-        for k, (unique, counts_active, counts_valid) in enumerate(per_key):
-            driven = int(driven_all[k])
-            per_key_classes.append(
-                {
-                    (int(n), driven): self._cached_class(int(n), driven)
-                    for n, c in zip(unique, counts_active)
-                    if c
-                }
-            )
-            dense_active[k, unique] = counts_active
-            dense_valid[k, unique] = counts_valid
-
-        metas = []
-        for lo, hi in chunk_bounds(n_keys, default_chunk_size(n_keys)):
-            class_results: dict[tuple[int, int], object] = {}
-            for k in range(lo, hi):
-                class_results.update(per_key_classes[k])
-            metas.append((self, e_toggle, class_results, lo, hi))
-        chunks = scatter_gather_shared(
-            _assemble_chunk_shared,
-            {
-                "miss": miss_all,
-                "counts_active": dense_active,
-                "counts_valid": dense_valid,
-                "toggles": toggles,
-                "driven": driven_all,
-                "active": active,
-            },
-            metas,
-            workers=workers,
-            span_prefix="array.assemble",
-        )
-        return [outcome for chunk in chunks for outcome in chunk]
+        packed = self._pack_batch(keys)
+        active = self._active_mask(row_mask)
+        self._book_path("kernel")
+        return self._search_batch_kernel(packed, active)
 
     # -- observability booking -------------------------------------------------
+
+    def _run_batch(self, sp, impl, *args) -> list:
+        """Run one batch ``impl`` and book its energy and kernel counters.
+
+        Shared by every ``*_batch`` API: the span receives the summed
+        ledger, and the engine's hit/fallback counters are delta-synced
+        into the metrics registry once per batch.
+        """
+        m = obs.metrics()
+        eng = self.kernel
+        before = (eng.table_hits, eng.rk4_fallbacks)
+        outcomes = impl(*args)
+        if sp is not None:
+            ledger = EnergyLedger.sum(o.energy for o in outcomes)
+            sp.add_energy(ledger)
+            self._book_batch_metrics(len(outcomes), ledger)
+        if m is not None:
+            for name, prev, now in zip(
+                ("kernels.table_hits", "kernels.rk4_fallbacks"),
+                before,
+                (eng.table_hits, eng.rk4_fallbacks),
+            ):
+                m.counter(name).inc(now - prev)
+        return outcomes
+
+    @staticmethod
+    def _book_path(path: str, n: int = 1) -> None:
+        """Count under ``tcam.path.<path>``: one per array call for the
+        ``kernel`` / ``faulty`` / ``scalar`` paths, one per out-of-grid
+        key for ``rk4_fallback``."""
+        m = obs.metrics()
+        if m is not None:
+            m.counter("tcam.path." + path).inc(n)
 
     def _book_search_span(self, sp, outcome: SearchOutcome, n_searches: int) -> None:
         """Annotate a finished search's span and bump the search metrics.
@@ -1282,119 +1060,29 @@ class TCAMArray:
         for component, joules in ledger:
             m.counter("energy." + component).inc(joules)
 
-    def _cache_counters(self) -> tuple[int, int, int]:
-        """Trajectory-cache (hits, misses, evictions) snapshot."""
-        cache = self._ml_cache
-        return (cache.hits, cache.misses, cache.evictions)
-
-    def _book_cache_metrics(self, m, before: tuple[int, int, int]) -> None:
-        """Delta-sync cache counters accrued since the ``before`` snapshot.
-
-        Per-lookup counting would sit on the batch engine's hottest loop,
-        so the cache itself only keeps plain integer attributes and the
-        registry is reconciled once per batch here.
-        """
-        after = self._cache_counters()
-        for name, prev, now in zip(
-            ("mlcache.hits", "mlcache.misses", "mlcache.evictions"), before, after
-        ):
-            m.counter(name).inc(now - prev)
-
-    # -- trajectory cache ------------------------------------------------------
-
-    @property
-    def ml_cache(self) -> TrajectoryCache:
-        """The match-line trajectory cache (inspection/diagnostics)."""
-        return self._ml_cache
-
-    def ml_cache_stats(self) -> dict[str, float]:
-        """Hit/miss/invalidation counters of the trajectory cache."""
-        return self._ml_cache.stats()
-
-    def _class_cache_key(self, pair: tuple[int, int]) -> tuple:
-        """Cache key of one mismatch class under the current configuration.
-
-        The electrical knobs (precharge target / race trip point and the
-        evaluation window) are part of the key, so a configuration change
-        can never alias into a stale entry even before the write-path
-        flush runs.
-        """
-        n_miss, driven = pair
-        if self.sensing == "precharge":
-            return ("pre", n_miss, driven, self.precharge.target_voltage(), self.t_eval)
-        return ("race", n_miss, driven, self.race_amp.v_trip, self.t_eval)
-
-    def _fill_class_cache(self, pairs: list[tuple[int, int]]) -> None:
-        """Compute and cache the given classes, one stacked pass when possible."""
-        if not pairs:
-            return
-        with obs.span("array.integrate", n_classes=len(pairs), sensing=self.sensing):
-            if self.sensing == "precharge":
-                v_ends = self._ml_voltages_after_eval(pairs)
-                for pair, v_end in zip(pairs, v_ends):
-                    self._ml_cache.put(
-                        self._class_cache_key(pair), self._precharge_class_from_v_end(v_end)
-                    )
-            else:
-                for pair in pairs:
-                    self._ml_cache.put(
-                        self._class_cache_key(pair), self._race_class(pair[0], pair[1])
-                    )
-
-    def _cached_class(
-        self, n_miss: int, driven_cols: int
-    ) -> _PrechargeClassResult | _RaceClassResult:
-        """Cache lookup with a compute-on-miss fallback (LRU may evict
-        a just-filled class when a batch carries more distinct classes
-        than the cache bound)."""
-        key = self._class_cache_key((n_miss, driven_cols))
-        result = self._ml_cache.get(key)
-        if result is None:
-            if self.sensing == "precharge":
-                result = self._precharge_class(n_miss, driven_cols)
-            else:
-                result = self._race_class(n_miss, driven_cols)
-            self._ml_cache.put(key, result)
-        return result
-
     # -- compiled kernel -------------------------------------------------------
-
-    def enable_kernel(self, *, max_driven: int | None = None):
-        """Compile and attach the kernel search path (see :mod:`repro.kernels`).
-
-        Once enabled, :meth:`search_batch` answers mismatch classes from
-        tabulated discharge endpoints (validated against the RK4
-        reference) and assembles outcomes through fused numpy gathers,
-        and the distance APIs (:meth:`nearest_match_batch`,
-        :meth:`threshold_match_batch`, :meth:`topk_match_batch`) run on
-        the fused distance kernel; results stay bit-identical to the
-        legacy paths.  Keys driving more than ``max_driven`` columns
-        fall back to the RK4 reference per key.  The scalar
-        :meth:`search` and fault-injected batches always keep the
-        reference path.
-
-        Args:
-            max_driven: Largest tabulated ``driven_cols`` (defaults to
-                the array width, i.e. no fallback ever triggers).
-
-        Returns:
-            The attached :class:`~repro.kernels.KernelEngine`.
-        """
-        from ..kernels import KernelEngine
-
-        self._kernel = KernelEngine(self, max_driven=max_driven)
-        self._soa = None
-        return self._kernel
-
-    def disable_kernel(self) -> None:
-        """Detach the kernel; ``search_batch`` reverts to the legacy path."""
-        self._kernel = None
-        self._soa = None
 
     @property
     def kernel(self):
-        """The attached :class:`~repro.kernels.KernelEngine`, or ``None``."""
+        """The compiled :class:`~repro.kernels.KernelEngine` behind every
+        batch API and every memoized class lookup.
+
+        Built on first use, so arrays that never run a batch (pickled
+        Monte-Carlo and campaign payloads) carry no tables.  Assigning an
+        engine built with a smaller ``max_driven`` pins the grid: keys
+        driving more columns then take the RK4 reference per key.
+        """
+        if self._kernel is None:
+            from ..kernels import KernelEngine
+
+            self._kernel = KernelEngine(self)
         return self._kernel
+
+    @kernel.setter
+    def kernel(self, engine) -> None:
+        if engine._array is not self:
+            raise TCAMError("a kernel engine serves only the array it was built for")
+        self._kernel = engine
 
     def _soa_state(self):
         """Current-content SoA snapshot, rebuilt when the version moves."""
@@ -1406,63 +1094,70 @@ class TCAMArray:
             self._soa = soa
         return soa
 
-    def _book_kernel_metrics(self, m, before: tuple[int, int]) -> None:
-        """Delta-sync kernel counters accrued since ``before`` (cf.
-        :meth:`_book_cache_metrics`)."""
-        eng = self._kernel
-        after = (eng.table_hits, eng.rk4_fallbacks)
-        for name, prev, now in zip(
-            ("kernels.table_hits", "kernels.rk4_fallbacks"), before, after
-        ):
-            m.counter(name).inc(now - prev)
+    def _pack_batch(self, keys: list[TernaryWord]) -> np.ndarray:
+        """Stack a key batch into its int8 matrix, checking the width."""
+        packed = pack_keys(keys)
+        if packed.shape[1] != self.geometry.cols:
+            raise TCAMError(
+                f"key width {packed.shape[1]} does not match array cols "
+                f"{self.geometry.cols}"
+            )
+        return packed
 
-    def _assemble_key_legacy(
-        self,
-        miss: np.ndarray,
-        driven: int,
-        n_toggles: int,
-        e_toggle: float,
-        active: np.ndarray,
-    ) -> tuple[SearchOutcome, int]:
-        """Reference-path assembly of one key (kernel out-of-grid fallback).
+    def _class_results(
+        self, classes: Iterable[int], driven: int
+    ) -> dict[int, _PrechargeClassResult | _RaceClassResult]:
+        """Sensing results of the classes ``(n, driven)``, keyed by ``n``.
 
-        Byte-for-byte the serial batch loop body: class grouping by
-        ``np.unique``, class results through the trajectory cache (RK4
-        on miss) and :meth:`_assemble_outcome`.  Returns the outcome and
-        the number of classes served, which the caller books as RK4
-        fallbacks.
+        Read from the engine's compiled row of ``driven`` -- the one place
+        class physics is memoized.  A ``driven`` beyond a pinned engine's
+        grid is integrated by the RK4 reference instead.
         """
-        unique, inverse = np.unique(miss, return_inverse=True)
-        counts_active = np.bincount(inverse[active], minlength=unique.size)
-        counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-        ledger = EnergyLedger()
-        ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
-        class_results = {
-            int(n): self._cached_class(int(n), driven)
-            for n, c in zip(unique, counts_active)
-            if c
+        eng = self.kernel
+        precharge = self.sensing == "precharge"
+        if not eng.in_grid(driven):
+            compute = self._precharge_class if precharge else self._race_class
+            return {int(n): compute(int(n), driven) for n in classes}
+        row = eng.row(driven)
+        if precharge:
+            return {
+                int(n): _PrechargeClassResult(
+                    v_end=float(row.v_end[n]),
+                    is_match=bool(row.is_match[n]),
+                    e_restore=float(row.e_restore[n]),
+                    e_diss=float(row.e_diss[n]),
+                    e_sense=float(row.e_sense[n]),
+                    t_sense=float(row.t_sense[n]),
+                    t_restore=float(row.t_restore[n]),
+                )
+                for n in classes
+            }
+        return {
+            int(n): _RaceClassResult(
+                is_match=bool(row.is_match[n]),
+                energy=float(row.energy[n]),
+                delay=float(row.delay[n]),
+            )
+            for n in classes
         }
-        outcome = self._assemble_outcome(
-            ledger, miss, active, unique, counts_active, counts_valid, class_results
-        )
-        return outcome, len(class_results)
 
     def _search_batch_kernel(
-        self, packed: np.ndarray, active: np.ndarray, soa
+        self, packed: np.ndarray, active: np.ndarray
     ) -> list[SearchOutcome]:
-        """Kernel tail of :meth:`_search_batch_impl`: fused numpy assembly.
+        """Kernel body of :meth:`_search_batch_impl`: fused numpy assembly.
 
         Mismatch counts come from the SoA matmul (exact integer float32
         accumulation), per-(key, class) row counts from one offset
         bincount per row subset, and per-class sensing quantities from
         the compiled tables by fancy indexing.  Per-key ledger sums use
         ``np.add.reduceat`` / ``np.maximum.reduceat``, whose strictly
-        left-to-right in-segment accumulation reproduces the legacy
+        left-to-right in-segment accumulation reproduces the scalar
         per-class ``ledger.add`` loop bit for bit (classes appear in
         ascending ``n_miss`` order in both).  Keys driving more columns
-        than the tabulated grid take :meth:`_assemble_key_legacy`.
+        than a pinned grid take the reference body :meth:`_search_key`.
         """
-        eng = self._kernel
+        eng = self.kernel
+        soa = self._soa_state()
         rows, cols = self.geometry.rows, self.geometry.cols
         n_keys = packed.shape[0]
         with obs.span(
@@ -1477,7 +1172,7 @@ class TCAMArray:
             sl_delay = self.sl_settle_delay
             enc_energy = self.estimator.encode_energy()
             enc_delay = self.encoder.delay
-            # Exactly the legacy leakage expression sans the trailing
+            # Exactly the scalar leakage expression sans the trailing
             # ``* cycle_time`` factor (left-associative, so the prefix
             # product is a common subexpression).
             k_leak = self.estimator.leakage_power(self.vdd)
@@ -1526,11 +1221,14 @@ class TCAMArray:
             fallback_idx = np.flatnonzero(~in_grid)
             for k in fallback_idx:
                 k = int(k)
-                outcome, n_served = self._assemble_key_legacy(
-                    miss_all[k], int(driven_all[k]), int(toggles[k]), e_toggle, active
+                ledger = EnergyLedger()
+                ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
+                outcomes[k] = self._search_key(
+                    ledger, miss_all[k], int(driven_all[k]), active
                 )
-                eng.rk4_fallbacks += n_served
-                outcomes[k] = outcome
+                eng.rk4_fallbacks += int(np.count_nonzero(counts_active[k]))
+            if fallback_idx.size:
+                self._book_path("rk4_fallback", int(fallback_idx.size))
 
             from ..kernels import sequential_segment_sum
 
@@ -1741,9 +1439,8 @@ class TCAMArray:
     ) -> SearchOutcome:
         """Book per-class energies and build the outcome for one search.
 
-        Shared verbatim by the scalar and batched paths: the only
-        difference between them is where ``class_results`` comes from
-        (direct computation vs the trajectory cache).
+        The reference assembly behind :meth:`_search_key` (the scalar
+        search and the kernel's out-of-grid fallback).
         """
         rows = self.geometry.rows
         physical = np.zeros(rows, dtype=bool)
@@ -1841,11 +1538,14 @@ class TCAMArray:
 
         Only supported for precharge-style sensing.
         """
+        self._require_precharge("nearest_match()")
+        self._require_no_faults("nearest_match()")
         with obs.span(
             "array.nearest_match",
             rows=self.geometry.rows,
             cols=self.geometry.cols,
         ) as sp:
+            self._book_path("scalar")
             outcome = self._nearest_match_impl(key)
             if sp is not None:
                 sp.set_delay(outcome.search_delay)
@@ -1855,8 +1555,6 @@ class TCAMArray:
             return outcome
 
     def _nearest_match_impl(self, key: TernaryWord) -> NearestMatchOutcome:
-        self._require_precharge("nearest_match()")
-        self._require_no_faults("nearest_match()")
         if len(key) != self.geometry.cols:
             raise TCAMError(
                 f"key width {len(key)} does not match array cols {self.geometry.cols}"
@@ -1878,16 +1576,7 @@ class TCAMArray:
         # Window: long enough for the runner-up distance class to cross.
         runner_up = best_distance + 1
         if runner_up <= driven_cols and runner_up > 0:
-            load = MatchLineLoad(
-                capacitance=self.c_ml,
-                n_miss=runner_up,
-                n_match=max(driven_cols - runner_up, 0),
-                i_pulldown=self.cell.i_pulldown,
-                i_leak=self.cell.i_leak,
-            )
-            t_window = MatchLine(load, v_pre, self.vdd).time_to(self.sense_amp.v_ref)
-            if not np.isfinite(t_window):
-                t_window = self.t_eval
+            t_window = self._crossing_time(runner_up, driven_cols)
         else:
             t_window = self.t_eval
 
@@ -1925,16 +1614,12 @@ class TCAMArray:
         return NearestMatchOutcome(best_pos, best_distance, ledger, delay)
 
     def nearest_match_batch(self, keys: Iterable[TernaryWord]) -> list[NearestMatchOutcome]:
-        """Best-match search over a batch, sharing per-class trajectory work.
+        """Best-match search over a batch on the fused distance kernel.
 
         Equivalent to ``[nearest_match(k) for k in keys]`` outcome by
-        outcome, with the winner-class droop voltages and runner-up
-        crossing windows served from the trajectory cache (one entry per
-        distinct ``(runner_up, driven_cols)`` pair across the batch).
-        Under :meth:`enable_kernel` the batch instead runs on the fused
-        distance kernel (one SoA matmul for the whole mismatch matrix,
-        windows/droops from the compiled tables), bit-identical to this
-        reference loop.
+        outcome: one SoA matmul for the whole mismatch matrix, evaluation
+        windows and winner droop voltages from the compiled tables (see
+        :meth:`_nearest_match_batch_kernel`).
         """
         self._require_precharge("nearest_match_batch()")
         self._require_no_faults("nearest_match_batch()")
@@ -1947,50 +1632,7 @@ class TCAMArray:
             cols=self.geometry.cols,
             n_keys=len(keys),
         ) as sp:
-            m = obs.metrics()
-            cache_before = self._cache_counters() if m is not None else None
-            kernel_before = (
-                (self._kernel.table_hits, self._kernel.rk4_fallbacks)
-                if m is not None and self._kernel is not None
-                else None
-            )
-            outcomes = self._nearest_match_batch_impl(keys)
-            if sp is not None:
-                ledger = EnergyLedger.sum(o.energy for o in outcomes)
-                sp.add_energy(ledger)
-                self._book_batch_metrics(len(keys), ledger)
-            if m is not None:
-                self._book_cache_metrics(m, cache_before)
-                if kernel_before is not None and self._kernel is not None:
-                    self._book_kernel_metrics(m, kernel_before)
-            return outcomes
-
-    def _nearest_match_batch_impl(
-        self, keys: list[TernaryWord]
-    ) -> list[NearestMatchOutcome]:
-        packed = pack_keys(keys)
-        if packed.shape[1] != self.geometry.cols:
-            raise TCAMError(
-                f"key width {packed.shape[1]} does not match array cols "
-                f"{self.geometry.cols}"
-            )
-        if self._kernel is not None:
-            soa = self._soa_state()
-            if soa.is_uniform():
-                return self._nearest_match_batch_kernel(packed, soa)
-        miss_all = mismatch_counts_batch(self._stored, packed)
-        driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
-        toggles = self._batch_toggles(packed)
-        e_toggle = self.estimator.sl_toggle_energy()
-
-        valid_idx = np.flatnonzero(self._valid)
-        v_pre = self.precharge.target_voltage()
-        return [
-            self._nearest_key(
-                miss_all[k], int(driven_all[k]), int(toggles[k]), e_toggle, v_pre, valid_idx
-            )
-            for k in range(len(keys))
-        ]
+            return self._run_batch(sp, self._nearest_match_batch_kernel, keys)
 
     def _nearest_key(
         self,
@@ -1998,10 +1640,9 @@ class TCAMArray:
         driven_cols: int,
         n_toggles: int,
         e_toggle: float,
-        v_pre: float,
         valid_idx: np.ndarray,
     ) -> NearestMatchOutcome:
-        """Reference per-key best-match body (legacy loop and kernel fallback)."""
+        """Per-key best-match body (the kernel's out-of-grid fallback)."""
         ledger = EnergyLedger()
         ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
         if valid_idx.size == 0:
@@ -2011,7 +1652,7 @@ class TCAMArray:
 
         runner_up = best_distance + 1
         if runner_up <= driven_cols and runner_up > 0:
-            t_window = self._nearest_window_cached(runner_up, driven_cols, v_pre)
+            t_window = self._window(runner_up, driven_cols)
         else:
             t_window = self.t_eval
 
@@ -2026,7 +1667,7 @@ class TCAMArray:
             self.estimator.ml_dissipation_energy(0.0, n_losers),
         )
         if best_distance == 0:
-            v_winner = self._cached_class(0, driven_cols).v_end
+            v_winner = self._class_results([0], driven_cols)[0].v_end
         else:
             v_winner = 0.0
             ledger.add(
@@ -2047,26 +1688,42 @@ class TCAMArray:
         ledger.add(EnergyComponent.LEAKAGE, self.standby_power() * delay)
         return NearestMatchOutcome(best_pos, best_distance, ledger, delay)
 
-    def _nearest_window_cached(
-        self, runner_up: int, driven_cols: int, v_pre: float
-    ) -> float:
-        """Runner-up crossing window, memoized per ``(runner_up, driven)``."""
-        key = ("nmw", runner_up, driven_cols, v_pre, self.sense_amp.v_ref)
-        cached = self._ml_cache.get(key)
-        if cached is not None:
-            return cached
+    def _crossing_time(self, n_miss: int, driven_cols: int) -> float:
+        """Time for an ``n_miss``-mismatch line (of ``driven_cols`` driven
+        columns) to cross the sense reference; ``t_eval`` if it never
+        does.  The RK4-free closed form behind every distance window."""
         load = MatchLineLoad(
             capacitance=self.c_ml,
-            n_miss=runner_up,
-            n_match=max(driven_cols - runner_up, 0),
+            n_miss=n_miss,
+            n_match=max(driven_cols - n_miss, 0),
             i_pulldown=self.cell.i_pulldown,
             i_leak=self.cell.i_leak,
         )
-        t_window = MatchLine(load, v_pre, self.vdd).time_to(self.sense_amp.v_ref)
-        if not np.isfinite(t_window):
-            t_window = self.t_eval
-        self._ml_cache.put(key, t_window)
-        return t_window
+        t_window = MatchLine(load, self.precharge.target_voltage(), self.vdd).time_to(
+            self.sense_amp.v_ref
+        )
+        return float(t_window) if np.isfinite(t_window) else self.t_eval
+
+    def _window(self, n_miss: int, driven_cols: int) -> float:
+        """:meth:`_crossing_time` from the engine's compiled window row
+        (computed directly beyond a pinned grid)."""
+        eng = self.kernel
+        if eng.in_grid(driven_cols):
+            return float(eng.window_row(driven_cols)[n_miss])
+        return self._crossing_time(n_miss, driven_cols)
+
+    def _key_inputs(self, key: TernaryWord) -> tuple:
+        """Inputs of a per-key distance body for one scalar call: the
+        mismatch row, driven count, search-line toggles (advancing the
+        drive state), toggle energy and valid rows."""
+        packed = self._pack_batch([key])
+        return (
+            mismatch_counts(self._stored, packed[0]),
+            int(np.count_nonzero(packed[0] != int(Trit.X))),
+            int(self._batch_toggles(packed)[0]),
+            self.estimator.sl_toggle_energy(),
+            np.flatnonzero(self._valid),
+        )
 
     # -- tolerance (threshold) search ------------------------------------------
 
@@ -2093,7 +1750,8 @@ class TCAMArray:
             cols=self.geometry.cols,
             max_distance=max_distance,
         ) as sp:
-            outcome = self._threshold_match_batch_impl([key], max_distance)[0]
+            self._book_path("scalar")
+            outcome = self._threshold_key(*self._key_inputs(key), max_distance)
             if sp is not None:
                 sp.set_delay(outcome.search_delay)
                 sp.annotate(n_matches=outcome.n_matches)
@@ -2104,13 +1762,11 @@ class TCAMArray:
     def threshold_match_batch(
         self, keys: Iterable[TernaryWord], max_distance: int
     ) -> list[ThresholdMatchOutcome]:
-        """Tolerance search over a batch of keys.
+        """Tolerance search over a batch on the fused distance kernel.
 
         Equivalent to ``[threshold_match(k, max_distance) for k in keys]``
-        outcome by outcome.  Under :meth:`enable_kernel` the batch runs on
-        the fused distance kernel (one SoA matmul, windows and droop
-        voltages from the compiled tables), bit-identical to the
-        reference loop.
+        outcome by outcome (one SoA matmul, windows and droop voltages
+        from the compiled tables).
         """
         self._require_precharge("threshold_match_batch()")
         self._require_no_faults("threshold_match_batch()")
@@ -2125,59 +1781,13 @@ class TCAMArray:
             n_keys=len(keys),
             max_distance=max_distance,
         ) as sp:
-            m = obs.metrics()
-            cache_before = self._cache_counters() if m is not None else None
-            kernel_before = (
-                (self._kernel.table_hits, self._kernel.rk4_fallbacks)
-                if m is not None and self._kernel is not None
-                else None
+            return self._run_batch(
+                sp, self._threshold_match_batch_kernel, keys, max_distance
             )
-            outcomes = self._threshold_match_batch_impl(keys, max_distance)
-            if sp is not None:
-                ledger = EnergyLedger.sum(o.energy for o in outcomes)
-                sp.add_energy(ledger)
-                self._book_batch_metrics(len(keys), ledger)
-            if m is not None:
-                self._book_cache_metrics(m, cache_before)
-                if kernel_before is not None and self._kernel is not None:
-                    self._book_kernel_metrics(m, kernel_before)
-            return outcomes
 
     def _check_max_distance(self, max_distance: int) -> None:
         if max_distance < 0:
             raise TCAMError(f"max_distance must be >= 0, got {max_distance}")
-
-    def _threshold_match_batch_impl(
-        self, keys: list[TernaryWord], max_distance: int
-    ) -> list[ThresholdMatchOutcome]:
-        packed = pack_keys(keys)
-        if packed.shape[1] != self.geometry.cols:
-            raise TCAMError(
-                f"key width {packed.shape[1]} does not match array cols "
-                f"{self.geometry.cols}"
-            )
-        if self._kernel is not None:
-            soa = self._soa_state()
-            if soa.is_uniform():
-                return self._threshold_match_batch_kernel(packed, soa, max_distance)
-        miss_all = mismatch_counts_batch(self._stored, packed)
-        driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
-        toggles = self._batch_toggles(packed)
-        e_toggle = self.estimator.sl_toggle_energy()
-        valid_idx = np.flatnonzero(self._valid)
-        v_pre = self.precharge.target_voltage()
-        return [
-            self._threshold_key(
-                miss_all[k],
-                int(driven_all[k]),
-                int(toggles[k]),
-                e_toggle,
-                v_pre,
-                valid_idx,
-                max_distance,
-            )
-            for k in range(len(keys))
-        ]
 
     def _threshold_key(
         self,
@@ -2185,11 +1795,10 @@ class TCAMArray:
         driven_cols: int,
         n_toggles: int,
         e_toggle: float,
-        v_pre: float,
         valid_idx: np.ndarray,
         max_distance: int,
     ) -> ThresholdMatchOutcome:
-        """Reference per-key tolerance-search body (legacy loop and kernel fallback)."""
+        """Per-key tolerance-search body (scalar API and kernel fallback)."""
         rows = self.geometry.rows
         ledger = EnergyLedger()
         ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
@@ -2212,7 +1821,7 @@ class TCAMArray:
         # Strobe window: the first excluded class must cross the reference.
         cut = max_distance + 1
         if 0 < cut <= driven_cols:
-            t_window = self._nearest_window_cached(cut, driven_cols, v_pre)
+            t_window = self._window(cut, driven_cols)
         else:
             t_window = self.t_eval
 
@@ -2228,13 +1837,7 @@ class TCAMArray:
         # class books restore and dissipation, accumulated in ascending
         # n_miss order into one add per component (= the kernel's
         # segmented sums, bit for bit).
-        e_pre = 0.0
-        e_diss = 0.0
-        classes, counts = np.unique(miss_v[within], return_counts=True)
-        for n, c in zip(classes, counts):
-            r = self._cached_class(int(n), driven_cols)
-            e_pre += float(c) * r.e_restore
-            e_diss += float(c) * r.e_diss
+        e_pre, e_diss = self._droop_energies(miss_v[within], driven_cols)
         ledger.add(EnergyComponent.ML_PRECHARGE, e_pre)
         ledger.add(EnergyComponent.ML_DISSIPATION, e_diss)
         ledger.add(
@@ -2252,6 +1855,19 @@ class TCAMArray:
             energy=ledger,
             search_delay=delay,
         )
+
+    def _droop_energies(self, miss: np.ndarray, driven_cols: int) -> tuple[float, float]:
+        """Restore and dissipation of the surviving lines ``miss``,
+        summed class by class in ascending ``n_miss`` order."""
+        e_pre = 0.0
+        e_diss = 0.0
+        classes, counts = np.unique(miss, return_counts=True)
+        results = self._class_results(classes, driven_cols)
+        for n, c in zip(classes, counts):
+            r = results[int(n)]
+            e_pre += float(c) * r.e_restore
+            e_diss += float(c) * r.e_diss
+        return e_pre, e_diss
 
     # -- k-nearest (top-k) search ----------------------------------------------
 
@@ -2274,7 +1890,8 @@ class TCAMArray:
             cols=self.geometry.cols,
             k=k,
         ) as sp:
-            outcome = self._topk_match_batch_impl([key], k)[0]
+            self._book_path("scalar")
+            outcome = self._topk_key(*self._key_inputs(key), k)
             if sp is not None:
                 sp.set_delay(outcome.search_delay)
                 sp.annotate(n_returned=len(outcome.rows))
@@ -2283,11 +1900,10 @@ class TCAMArray:
             return outcome
 
     def topk_match_batch(self, keys: Iterable[TernaryWord], k: int) -> list[TopKMatchOutcome]:
-        """k-nearest search over a batch of keys.
+        """k-nearest search over a batch on the fused distance kernel.
 
         Equivalent to ``[topk_match(key, k) for key in keys]`` outcome by
-        outcome.  Under :meth:`enable_kernel` the batch runs on the fused
-        distance kernel, bit-identical to the reference loop.
+        outcome.
         """
         self._require_precharge("topk_match_batch()")
         self._require_no_faults("topk_match_batch()")
@@ -2302,53 +1918,11 @@ class TCAMArray:
             n_keys=len(keys),
             k=k,
         ) as sp:
-            m = obs.metrics()
-            cache_before = self._cache_counters() if m is not None else None
-            kernel_before = (
-                (self._kernel.table_hits, self._kernel.rk4_fallbacks)
-                if m is not None and self._kernel is not None
-                else None
-            )
-            outcomes = self._topk_match_batch_impl(keys, k)
-            if sp is not None:
-                ledger = EnergyLedger.sum(o.energy for o in outcomes)
-                sp.add_energy(ledger)
-                self._book_batch_metrics(len(keys), ledger)
-            if m is not None:
-                self._book_cache_metrics(m, cache_before)
-                if kernel_before is not None and self._kernel is not None:
-                    self._book_kernel_metrics(m, kernel_before)
-            return outcomes
+            return self._run_batch(sp, self._topk_match_batch_kernel, keys, k)
 
     def _check_k(self, k: int) -> None:
         if k < 1:
             raise TCAMError(f"k must be >= 1, got {k}")
-
-    def _topk_match_batch_impl(
-        self, keys: list[TernaryWord], k: int
-    ) -> list[TopKMatchOutcome]:
-        packed = pack_keys(keys)
-        if packed.shape[1] != self.geometry.cols:
-            raise TCAMError(
-                f"key width {packed.shape[1]} does not match array cols "
-                f"{self.geometry.cols}"
-            )
-        if self._kernel is not None:
-            soa = self._soa_state()
-            if soa.is_uniform():
-                return self._topk_match_batch_kernel(packed, soa, k)
-        miss_all = mismatch_counts_batch(self._stored, packed)
-        driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
-        toggles = self._batch_toggles(packed)
-        e_toggle = self.estimator.sl_toggle_energy()
-        valid_idx = np.flatnonzero(self._valid)
-        v_pre = self.precharge.target_voltage()
-        return [
-            self._topk_key(
-                miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle, v_pre, valid_idx, k
-            )
-            for q in range(len(keys))
-        ]
 
     def _topk_key(
         self,
@@ -2356,11 +1930,10 @@ class TCAMArray:
         driven_cols: int,
         n_toggles: int,
         e_toggle: float,
-        v_pre: float,
         valid_idx: np.ndarray,
         k: int,
     ) -> TopKMatchOutcome:
-        """Reference per-key top-k body (legacy loop and kernel fallback)."""
+        """Per-key top-k body (scalar API and kernel fallback)."""
         ledger = EnergyLedger()
         ledger.add(EnergyComponent.SEARCHLINE, n_toggles * e_toggle)
         if valid_idx.size == 0:
@@ -2375,7 +1948,7 @@ class TCAMArray:
         # Strobe window: the class one past the k-th winner must cross.
         cut = d_k + 1
         if 0 < cut <= driven_cols:
-            t_window = self._nearest_window_cached(cut, driven_cols, v_pre)
+            t_window = self._window(cut, driven_cols)
         else:
             t_window = self.t_eval
 
@@ -2391,13 +1964,7 @@ class TCAMArray:
             EnergyComponent.ML_DISSIPATION,
             self.estimator.ml_dissipation_energy(0.0, n_losers),
         )
-        e_pre = 0.0
-        e_diss = 0.0
-        classes, counts = np.unique(miss_v[survivors], return_counts=True)
-        for n, c in zip(classes, counts):
-            r = self._cached_class(int(n), driven_cols)
-            e_pre += float(c) * r.e_restore
-            e_diss += float(c) * r.e_diss
+        e_pre, e_diss = self._droop_energies(miss_v[survivors], driven_cols)
         ledger.add(EnergyComponent.ML_PRECHARGE, e_pre)
         ledger.add(EnergyComponent.ML_DISSIPATION, e_diss)
         ledger.add(
@@ -2420,23 +1987,41 @@ class TCAMArray:
 
     # -- fused distance kernel tails -------------------------------------------
 
-    def _distance_kernel_prologue(self, packed: np.ndarray, soa):
-        """Shared front half of the distance-kernel tails.
+    def _distance_kernel_prologue(self, keys: list[TernaryWord]):
+        """Shared front half of the distance kernels.
 
         One SoA matmul for the full ``(n_keys, rows)`` mismatch matrix
         (bit-identical to the broadcast reference), plus the per-key
         driven counts, sequential search-line toggle chain and the
         constant per-batch estimator values.
         """
-        miss_all = soa.mismatch_counts(packed)
+        packed = self._pack_batch(keys)
+        self._book_path("kernel")
+        miss_all = self._soa_state().mismatch_counts(packed)
         driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
         toggles = self._batch_toggles(packed)
         e_toggle = self.estimator.sl_toggle_energy()
         # int * float == float64(int) * float bit for bit (exact ints).
         sl_e = toggles.astype(np.float64) * e_toggle
         valid_idx = np.flatnonzero(self._valid)
-        v_pre = self.precharge.target_voltage()
-        return miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre
+        return miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx
+
+    def _distance_fallbacks(self, body, miss_all, driven_all, toggles, e_toggle,
+                            valid_idx, outcomes, *extra) -> np.ndarray:
+        """Run keys beyond the engine grid through the per-key ``body``
+        (booked as RK4 fallbacks); returns the in-grid key indices."""
+        eng = self.kernel
+        in_grid = driven_all <= eng.max_driven
+        fallback_idx = np.flatnonzero(~in_grid)
+        for q in fallback_idx.tolist():
+            outcomes[q] = body(
+                miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle,
+                valid_idx, *extra,
+            )
+        eng.rk4_fallbacks += int(fallback_idx.size)
+        if fallback_idx.size:
+            self._book_path("rk4_fallback", int(fallback_idx.size))
+        return np.flatnonzero(in_grid)
 
     def _diss0_table(self, n_max: int) -> np.ndarray:
         """Full-discharge dissipation per line count, tabulated 0..n_max.
@@ -2451,14 +2036,14 @@ class TCAMArray:
         )
 
     def _nearest_match_batch_kernel(
-        self, packed: np.ndarray, soa
+        self, keys: list[TernaryWord]
     ) -> list[NearestMatchOutcome]:
-        """Kernel tail of :meth:`_nearest_match_batch_impl`.
+        """Fused distance kernel of :meth:`nearest_match_batch`.
 
         Winner/runner-up partitioning is vectorized over the whole
         mismatch matrix; evaluation windows come from the engine's
         crossing-time tables (:meth:`~repro.kernels.KernelEngine.window_row`,
-        the same floats :meth:`_nearest_window_cached` computes) and the
+        the same floats :meth:`_crossing_time` computes) and the
         winner droop voltages from the compiled waveform tables.  The
         per-key ledgers repeat the reference adds in the reference order,
         with the estimator's count-scaled terms memoized per distinct
@@ -2466,11 +2051,11 @@ class TCAMArray:
         columns than the tabulated grid take the reference body per key
         and book RK4 fallbacks.
         """
-        eng = self._kernel
-        n_keys = packed.shape[0]
+        eng = self.kernel
+        n_keys = len(keys)
         with obs.span("array.distance_kernel", mode="nearest", n_keys=n_keys) as sp:
-            (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre) = (
-                self._distance_kernel_prologue(packed, soa)
+            (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx) = (
+                self._distance_kernel_prologue(keys)
             )
             outcomes: list[NearestMatchOutcome | None] = [None] * n_keys
             if valid_idx.size == 0:
@@ -2497,16 +2082,10 @@ class TCAMArray:
             k_leak = self.standby_power()
             diss_tab = self._diss0_table(int(valid_idx.size))
 
-            in_grid = driven_all <= eng.max_driven
-            for q in np.flatnonzero(~in_grid):
-                q = int(q)
-                outcomes[q] = self._nearest_key(
-                    miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle,
-                    v_pre, valid_idx,
-                )
-                eng.rk4_fallbacks += 1
-
-            idx = np.flatnonzero(in_grid)
+            idx = self._distance_fallbacks(
+                self._nearest_key, miss_all, driven_all, toggles, e_toggle,
+                valid_idx, outcomes,
+            )
             if idx.size:
                 # Pad the per-driven crossing-time rows and winner restore
                 # energies into dense tables so the whole batch gathers in
@@ -2572,7 +2151,7 @@ class TCAMArray:
                 for q, out in zip(idx.tolist(), assembled):
                     outcomes[q] = out
             if sp is not None:
-                sp.annotate(fallback_keys=int(np.count_nonzero(~in_grid)))
+                sp.annotate(fallback_keys=n_keys - int(idx.size))
             return outcomes
 
     def _valid_class_counts(self, miss_v: np.ndarray) -> np.ndarray:
@@ -2586,20 +2165,20 @@ class TCAMArray:
         ).reshape(n_keys, n_classes)
 
     def _threshold_match_batch_kernel(
-        self, packed: np.ndarray, soa, max_distance: int
+        self, keys: list[TernaryWord], max_distance: int
     ) -> list[ThresholdMatchOutcome]:
-        """Kernel tail of :meth:`_threshold_match_batch_impl` (cf.
+        """Fused distance kernel of :meth:`threshold_match_batch` (cf.
         :meth:`_nearest_match_batch_kernel`); accepted-class restore and
         dissipation come from the compiled tables through segmented
         left-to-right sums, reproducing the reference accumulation."""
         from ..kernels import sequential_segment_sum
 
-        eng = self._kernel
+        eng = self.kernel
         rows = self.geometry.rows
-        n_keys = packed.shape[0]
+        n_keys = len(keys)
         with obs.span("array.distance_kernel", mode="threshold", n_keys=n_keys) as sp:
-            (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre) = (
-                self._distance_kernel_prologue(packed, soa)
+            (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx) = (
+                self._distance_kernel_prologue(keys)
             )
             outcomes: list[ThresholdMatchOutcome | None] = [None] * n_keys
             if valid_idx.size == 0:
@@ -2631,16 +2210,10 @@ class TCAMArray:
             k_leak = self.standby_power()
             diss_tab = self._diss0_table(int(valid_idx.size))
 
-            in_grid = driven_all <= eng.max_driven
-            for q in np.flatnonzero(~in_grid):
-                q = int(q)
-                outcomes[q] = self._threshold_key(
-                    miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle,
-                    v_pre, valid_idx, max_distance,
-                )
-                eng.rk4_fallbacks += 1
-
-            idx = np.flatnonzero(in_grid)
+            idx = self._distance_fallbacks(
+                self._threshold_key, miss_all, driven_all, toggles, e_toggle,
+                valid_idx, outcomes, max_distance,
+            )
             for d in np.unique(driven_all[idx]):
                 d = int(d)
                 grp = idx[driven_all[idx] == d]
@@ -2687,13 +2260,13 @@ class TCAMArray:
                         search_delay=delay,
                     )
             if sp is not None:
-                sp.annotate(fallback_keys=int(np.count_nonzero(~in_grid)))
+                sp.annotate(fallback_keys=n_keys - int(idx.size))
             return outcomes
 
     def _topk_match_batch_kernel(
-        self, packed: np.ndarray, soa, k: int
+        self, keys: list[TernaryWord], k: int
     ) -> list[TopKMatchOutcome]:
-        """Kernel tail of :meth:`_topk_match_batch_impl`.
+        """Fused distance kernel of :meth:`topk_match_batch`.
 
         Selection runs on a composite ``miss * n_valid + position`` key,
         which reproduces the reference's stable-sort tie-breaking
@@ -2701,11 +2274,11 @@ class TCAMArray:
         """
         from ..kernels import sequential_segment_sum
 
-        eng = self._kernel
-        n_keys = packed.shape[0]
+        eng = self.kernel
+        n_keys = len(keys)
         with obs.span("array.distance_kernel", mode="topk", n_keys=n_keys) as sp:
-            (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx, v_pre) = (
-                self._distance_kernel_prologue(packed, soa)
+            (miss_all, driven_all, toggles, e_toggle, sl_e, valid_idx) = (
+                self._distance_kernel_prologue(keys)
             )
             outcomes: list[TopKMatchOutcome | None] = [None] * n_keys
             if valid_idx.size == 0:
@@ -2740,16 +2313,10 @@ class TCAMArray:
             k_leak = self.standby_power()
             diss_tab = self._diss0_table(n_valid)
 
-            in_grid = driven_all <= eng.max_driven
-            for q in np.flatnonzero(~in_grid):
-                q = int(q)
-                outcomes[q] = self._topk_key(
-                    miss_all[q], int(driven_all[q]), int(toggles[q]), e_toggle,
-                    v_pre, valid_idx, k,
-                )
-                eng.rk4_fallbacks += 1
-
-            idx = np.flatnonzero(in_grid)
+            idx = self._distance_fallbacks(
+                self._topk_key, miss_all, driven_all, toggles, e_toggle,
+                valid_idx, outcomes, k,
+            )
             n_classes = self.geometry.cols + 1
             class_grid = np.arange(n_classes)
             for d in np.unique(driven_all[idx]):
@@ -2800,7 +2367,7 @@ class TCAMArray:
                         search_delay=delays_l[i],
                     )
             if sp is not None:
-                sp.annotate(fallback_keys=int(np.count_nonzero(~in_grid)))
+                sp.annotate(fallback_keys=n_keys - int(idx.size))
             return outcomes
 
     # ------------------------------------------------------------------

@@ -27,33 +27,9 @@ from .. import obs
 from ..energy.accounting import EnergyComponent, EnergyLedger
 from ..errors import CapacityError, TCAMError
 from ..faults.faultmap import FaultMap
-from ..parallel import scatter_gather_shared
 from .array import SearchOutcome, TCAMArray
 from .outcome import BaseOutcome
-from .trit import TernaryWord, pack_keys
-
-
-def _search_bank_chunk_shared(views, meta):
-    """Search one bank's key subsequence (shared-transport worker fn).
-
-    The whole batch's packed key matrix is shared once; each bank's
-    chunk pickles only the bank model plus its key indices and rebuilds
-    the :class:`TernaryWord` objects from the shared rows.  Runs against
-    a pickled copy of the bank in a worker process (the parent swaps the
-    returned, mutated copy back in) or against the real bank under the
-    in-process serial fallback -- either way the bank object that ends up
-    in ``chip.banks`` saw exactly this key sequence once, so its
-    search-line drive state and trajectory cache advance as a serial
-    run's would.
-    """
-    bank_idx, bank, idxs = meta
-    packed = views["keys"]
-    keys = [TernaryWord(np.asarray(packed[i], dtype=np.int8)) for i in idxs]
-    if hasattr(bank, "search_batch"):
-        outcomes = bank.search_batch(keys)
-    else:
-        outcomes = [bank.search(key) for key in keys]
-    return bank_idx, bank, outcomes
+from .trit import TernaryWord
 
 
 @dataclass(frozen=True)
@@ -186,13 +162,13 @@ class TCAMChip:
         return ledger
 
     def load_rows(self, words: list[TernaryWord], start_row: int = 0) -> EnergyLedger:
-        """Bulk-fill chip rows row-major with one wake + one flush per bank.
+        """Bulk-fill chip rows row-major with one wake + one bump per bank.
 
         Ledger-identical to a :meth:`write` loop over the same rows, but
         each touched bank wakes once and takes its whole block through
-        the bank's bulk path (:meth:`TCAMArray.load_rows`: one trajectory
-        -cache flush and one content-version bump per bank instead of
-        one per row) -- the corpus-load path for the retrieval workload.
+        the bank's bulk path (:meth:`TCAMArray.load_rows`: one
+        content-version bump per bank instead of one per row) -- the
+        corpus-load path for the retrieval workload.
         Banks without a bulk path fall back to per-row writes.
         """
         if start_row + len(words) > self.rows_total:
@@ -314,28 +290,23 @@ class TCAMChip:
         keys: Iterable[TernaryWord],
         banks: int | Sequence[int],
         idle_time: float = 0.0,
-        workers: int = 0,
     ) -> list[ChipSearchOutcome]:
         """Search many keys, sharding the work across banks.
 
         Produces the :class:`ChipSearchOutcome` sequence a serial loop of
         :meth:`search` calls would (same ledgers, rows and latencies; the
         wake / idle-leak / gating state machine is stepped through the
-        keys in order before any bank is searched).  Keys routed to the
-        same bank stay in their original relative order, so each bank's
-        search-line toggle chain and trajectory cache evolve exactly as
-        in the serial loop -- which is what makes bank-sharding safe.
-        With ``workers > 1`` each bank's subsequence runs in a worker
-        process on a copy of the bank; the mutated copies are swapped
-        back in afterwards.
+        keys in order before any bank is searched).  Each bank then runs
+        one ``search_batch`` over the keys routed to it, in their
+        original relative order, so its search-line toggle chain evolves
+        exactly as in the serial loop -- which is what makes
+        bank-sharding safe.
 
         Args:
             keys: Search keys (bank-width).
             banks: Bank index per key, or one index for the whole batch.
             idle_time: Idle window accounted before each search [s], as
                 in :meth:`search`.
-            workers: Process count for the bank fan-out; ``<= 1`` runs
-                the banks in-process.
         """
         keys = list(keys)
         if isinstance(banks, (int, np.integer)):
@@ -377,27 +348,19 @@ class TCAMChip:
                     for component, joules in ledger:
                         m.counter("energy." + component).inc(joules)
 
-            # Group keys by bank, preserving per-bank key order.  The
-            # packed key matrix is shared once across every bank chunk;
-            # each chunk's pickled payload is the bank model + indices.
+            # Group keys by bank, preserving per-bank key order.
             by_bank: dict[int, list[int]] = {}
             for i, b in enumerate(bank_ids):
                 by_bank.setdefault(b, []).append(i)
-            metas = [
-                (b, self.banks[b], idxs) for b, idxs in sorted(by_bank.items())
-            ]
-            results = scatter_gather_shared(
-                _search_bank_chunk_shared,
-                {"keys": pack_keys(keys)},
-                metas,
-                workers=workers,
-                span_prefix="chip.bank",
-            )
-
             per_key: list[SearchOutcome | None] = [None] * len(keys)
-            for b, bank_obj, outcomes in results:
-                self.banks[b] = bank_obj
-                for i, outcome in zip(by_bank[b], outcomes):
+            for b, idxs in sorted(by_bank.items()):
+                bank = self.banks[b]
+                bank_keys = [keys[i] for i in idxs]
+                if hasattr(bank, "search_batch"):
+                    outcomes = bank.search_batch(bank_keys)
+                else:
+                    outcomes = [bank.search(key) for key in bank_keys]
+                for i, outcome in zip(idxs, outcomes):
                     per_key[i] = outcome
 
             chip_outcomes: list[ChipSearchOutcome] = []

@@ -128,18 +128,15 @@ class RoutingTable:
         outcome = array.search(key)
         return self._route_of(outcome), outcome
 
-    def lookup_tcam_batch(self, array: TCAMArray, addresses: list[int], workers: int = 0):
-        """Look up an address trace on the batched search path.
+    def lookup_tcam_batch(self, array: TCAMArray, addresses: list[int]):
+        """Look up an address trace on the batched (compiled) search path.
 
         Returns one ``(route | None, SearchOutcome)`` pair per address,
-        identical to calling :meth:`lookup_tcam` address by address but
-        sharing the per-mismatch-class trajectory work across the trace.
+        identical to calling :meth:`lookup_tcam` address by address.
 
         Args:
             array: The deployed TCAM array.
             addresses: Integer IPv4 addresses to look up.
-            workers: Process count forwarded to
-                :meth:`~repro.tcam.array.TCAMArray.search_batch`.
         """
         with obs.span(
             "workload.lpm.lookup_batch",
@@ -147,7 +144,7 @@ class RoutingTable:
             n_routes=len(self.routes),
         ):
             keys = [word_from_int(a, ADDRESS_BITS) for a in addresses]
-            outcomes = array.search_batch(keys, workers=workers)
+            outcomes = array.search_batch(keys)
         return [(self._route_of(outcome), outcome) for outcome in outcomes]
 
     def _route_of(self, outcome) -> Route | None:

@@ -197,11 +197,10 @@ class RuleSet:
         return self._rule_of(outcome), outcome
 
     def classify_tcam_batch(self, array: TCAMArray, packets: list[Packet]):
-        """Classify a packet burst on the batched search path.
+        """Classify a packet burst on the batched (compiled) search path.
 
         Returns one ``(rule index | None, outcome)`` pair per packet,
-        identical to calling :meth:`classify_tcam` packet by packet but
-        sharing the per-mismatch-class trajectory work across the burst.
+        identical to calling :meth:`classify_tcam` packet by packet.
         """
         with obs.span(
             "workload.acl.classify_batch",

@@ -189,9 +189,7 @@ class SignatureSet:
         """Slide the payload past the TCAM; returns (hits, total energy [J]).
 
         All window positions go through :meth:`TCAMArray.search_batch` in
-        one call; the sliding window revisits the same few mismatch
-        classes at every position, so nearly the whole scan is served
-        from the trajectory cache.
+        one call, so the whole scan runs on the compiled kernel.
         """
         if not payload:
             return [], 0.0

@@ -14,6 +14,7 @@ from repro.analysis.dse import (
     run_dse,
 )
 from repro.errors import AnalysisError
+from repro.tcam import TCAMArray
 from repro.tcam.cells import list_cells
 
 
@@ -69,11 +70,16 @@ class TestEvaluatePoint:
         )
         assert seg["energy_per_search"] < flat["energy_per_search"]
 
-    def test_kernel_path_is_bit_identical(self):
+    def test_kernel_path_is_bit_identical(self, monkeypatch):
+        """The batch answer equals a scalar ``search()`` reference run."""
         point = DesignPoint("fefet2t", 8, 16)
-        plain = evaluate_point(point, searches=4)
-        kernel = evaluate_point(point, searches=4, use_kernel=True)
-        assert plain == kernel
+        kernel = evaluate_point(point, searches=4)
+
+        def scalar_loop(array, keys, row_mask=None):
+            return [array.search(k, row_mask) for k in keys]
+
+        monkeypatch.setattr(TCAMArray, "search_batch", scalar_loop)
+        assert evaluate_point(point, searches=4) == kernel
 
     def test_current_race_with_segments_rejected(self):
         bad = DesignPoint("fefet2t", 8, 16, segments=4, sensing="current_race")

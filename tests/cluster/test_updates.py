@@ -97,9 +97,9 @@ class TestChurnIntegrity:
             )
 
     def test_kernel_flushed_after_churn(self, rng, policy):
-        """A stale kernel table would keep matching withdrawn rules."""
+        """A stale kernel snapshot would keep matching withdrawn rules."""
         table = _table(rng)
-        fabric = _fabric(table, n_chips=2, policy=policy, use_kernel=True)
+        fabric = _fabric(table, n_chips=2, policy=policy)
         engine = UpdateEngine(fabric)
         engine.apply(synthesize_churn(len(table), COLS, 24, seed=9))
         probes = [random_word(COLS, rng, x_fraction=0.1) for _ in range(12)]

@@ -9,6 +9,7 @@ import pytest
 from repro import obs
 from repro.analysis.faultcampaign import run_fault_campaign
 from repro.errors import AnalysisError
+from repro.tcam import TCAMArray
 
 CONFIG = dict(
     design="fefet2t",
@@ -61,13 +62,16 @@ class TestCampaignResults:
         again = run_fault_campaign(**CONFIG, workers=0)
         assert result.to_dict() == again.to_dict()
 
-    def test_kernel_engine_bit_identical(self, result):
-        """use_kernel routes searches through the compiled batch engine;
-        every count and joule must be unchanged, serial or parallel."""
-        kernel = run_fault_campaign(**CONFIG, workers=0, use_kernel=True)
-        assert result.to_dict() == kernel.to_dict()
-        kernel_par = run_fault_campaign(**CONFIG, workers=2, use_kernel=True)
-        assert result.to_dict() == kernel_par.to_dict()
+    def test_kernel_engine_bit_identical(self, result, monkeypatch):
+        """Trials search through the compiled batch engine; every count
+        and joule must equal a run on the scalar ``search()`` reference."""
+
+        def scalar_loop(array, keys, row_mask=None):
+            return [array.search(k, row_mask) for k in keys]
+
+        monkeypatch.setattr(TCAMArray, "search_batch", scalar_loop)
+        reference = run_fault_campaign(**CONFIG, workers=0)
+        assert result.to_dict() == reference.to_dict()
 
 
 class TestCampaignModes:

@@ -1,7 +1,6 @@
 """Distance kernel bit-identity: nearest / threshold / top-k batch APIs.
 
-Under ``enable_kernel()`` the three distance-mode batch searches run on
-the fused distance kernel (one SoA matmul for the whole mismatch
+The three distance-mode batch searches run on the fused distance kernel (one SoA matmul for the whole mismatch
 matrix, windows and droop voltages gathered from the compiled tables).
 Nothing may change: winner rows, distances, masks, delays, and every
 per-component ledger float -- *including the booking order* -- must
@@ -17,6 +16,7 @@ from repro import obs
 from repro.core import all_designs, build_array, get_design
 from repro.errors import KernelError, TCAMError
 from repro.faults.faultmap import FaultMap
+from repro.kernels import KernelEngine
 from repro.tcam import ArrayGeometry
 from repro.tcam.trit import random_word
 
@@ -24,7 +24,7 @@ PRECHARGE = [spec.name for spec in all_designs() if spec.sensing == "precharge"]
 
 
 def _loaded_pair(design_name, rows=16, cols=24, seed=7, x_fraction=0.2):
-    """Two identically-written arrays; the second runs the kernel."""
+    """Two identically-written arrays: scalar reference, kernel batch."""
     spec = get_design(design_name)
     geo = ArrayGeometry(rows=rows, cols=cols)
     a = build_array(spec, geo)
@@ -34,7 +34,6 @@ def _loaded_pair(design_name, rows=16, cols=24, seed=7, x_fraction=0.2):
     for i, w in enumerate(words):
         a.write(i, w)
         b.write(i, w)
-    b.enable_kernel()
     return a, b
 
 
@@ -71,7 +70,11 @@ class TestNearestBatchKernel:
 
     @pytest.mark.parametrize("design", PRECHARGE)
     def test_bit_identical_to_legacy_batch(self, design):
+        """The vectorized kernel equals the per-key batch loop: an engine
+        pinned to ``max_driven=0`` routes every key through the per-key
+        body on RK4-integrated classes, as the pre-kernel batch ran."""
         a, b = _loaded_pair(design)
+        a.kernel = KernelEngine(a, max_driven=0)
         keys = _keys(24, 16, seed=17)
         legacy = a.nearest_match_batch(keys)
         kernel = b.nearest_match_batch(keys)
@@ -80,13 +83,15 @@ class TestNearestBatchKernel:
             assert s.distance == x.distance
             assert s.search_delay == x.search_delay
             _assert_ledger_identical(s, x)
+        assert a.kernel.rk4_fallbacks == len(keys)
+        assert b.kernel.rk4_fallbacks == 0
 
     def test_fallback_mix(self):
         """Keys past the compiled grid fall back per key, still exactly."""
         a, b = _loaded_pair("fefet2t")
         keys = _keys(24, 20, seed=23, x_fraction=0.4)
         drivens = sorted(sum(1 for t in k if int(t) != 2) for k in keys)
-        b.enable_kernel(max_driven=drivens[len(drivens) // 2])
+        b.kernel = KernelEngine(b, max_driven=drivens[len(drivens) // 2])
         scalar = [a.nearest_match(k) for k in keys]
         kernel = b.nearest_match_batch(keys)
         for s, x in zip(scalar, kernel):
@@ -126,7 +131,10 @@ class TestThresholdBatchKernel:
         assert b.kernel.table_hits > 0
 
     def test_bit_identical_to_legacy_batch(self):
+        """Vectorized kernel vs the per-key batch loop (see the nearest
+        variant): every key of ``a`` runs the per-key body."""
         a, b = _loaded_pair("fefet2t")
+        a.kernel = KernelEngine(a, max_driven=0)
         keys = _keys(24, 12, seed=29)
         legacy = a.threshold_match_batch(keys, 3)
         kernel = b.threshold_match_batch(keys, 3)
@@ -135,6 +143,7 @@ class TestThresholdBatchKernel:
             assert s.first_match == x.first_match
             assert s.search_delay == x.search_delay
             _assert_ledger_identical(s, x)
+        assert a.kernel.rk4_fallbacks == len(keys)
 
 
 class TestTopKBatchKernel:
@@ -168,13 +177,12 @@ class TestWindowTables:
     def test_window_row_matches_reference_windows(self):
         _, b = _loaded_pair("fefet2t")
         eng = b.kernel
-        v_pre = b.precharge.target_voltage()
         for driven in (1, 5, 24):
             row = eng.window_row(driven)
             assert row.shape == (driven + 1,)
             assert row[0] == b.t_eval
             for n in range(1, driven + 1):
-                assert row[n] == b._nearest_window_cached(n, driven, v_pre)
+                assert row[n] == b._crossing_time(n, driven)
 
     def test_window_row_is_read_only_and_guarded(self):
         _, b = _loaded_pair("fefet2t")
@@ -186,7 +194,7 @@ class TestWindowTables:
 
     def test_current_race_has_no_window_tables(self):
         a = build_array(get_design("fefet_cr"), ArrayGeometry(rows=4, cols=8))
-        eng = a.enable_kernel()
+        eng = a.kernel
         with pytest.raises(KernelError):
             eng.window_row(4)
 
@@ -225,7 +233,7 @@ class TestAdoptTables:
         b = build_array(spec, geo)
         a.load([random_word(16, rng) for _ in range(8)])
         b.load([random_word(16, rng) for _ in range(8)])
-        return a, b, a.enable_kernel(), b.enable_kernel()
+        return a, b, a.kernel, b.kernel
 
     def test_tables_shared_by_reference(self):
         _, _, donor, adopter = self._pair_of_engines()
@@ -264,10 +272,10 @@ class TestAdoptTables:
         a = build_array(spec, ArrayGeometry(rows=8, cols=16))
         b = build_array(spec, ArrayGeometry(rows=8, cols=12))
         with pytest.raises(KernelError, match="electrically different"):
-            b.enable_kernel().adopt_tables(a.enable_kernel())
+            b.kernel.adopt_tables(a.kernel)
         c = build_array(get_design("cmos16t"), ArrayGeometry(rows=8, cols=16))
         with pytest.raises(KernelError, match="electrically different"):
-            c.enable_kernel().adopt_tables(a.kernel)
+            c.kernel.adopt_tables(a.kernel)
 
     def test_self_adoption_is_a_no_op(self):
         _, _, donor, _ = self._pair_of_engines()

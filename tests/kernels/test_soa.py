@@ -1,4 +1,4 @@
-"""SoAState: matmul mismatch counts and uniformity gating."""
+"""SoAState: matmul mismatch counts and snapshot isolation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import build_array, get_design
 from repro.errors import KernelError
-from repro.faults.faultmap import FaultMap
 from repro.kernels import SoAState
 from repro.tcam import ArrayGeometry, mismatch_counts_batch, pack_keys
 from repro.tcam.trit import random_word
@@ -46,25 +45,7 @@ class TestMismatchCounts:
             soa.mismatch_counts(np.zeros((3, 21), dtype=np.int8))
 
 
-class TestUniformity:
-    def test_nominal_array_is_uniform(self):
-        soa = SoAState.from_array(_loaded(), version=0)
-        assert soa.is_uniform()
-
-    def test_sa_offset_breaks_uniformity(self):
-        array = _loaded()
-        faults = FaultMap(array.geometry.rows, array.geometry.cols)
-        faults.set_sa_offset(3, 0.02)
-        array.attach_faults(faults)
-        soa = SoAState.from_array(array, version=1)
-        assert not soa.is_uniform()
-
-    def test_empty_fault_map_stays_uniform(self):
-        array = _loaded()
-        array.attach_faults(FaultMap(array.geometry.rows, array.geometry.cols))
-        soa = SoAState.from_array(array, version=1)
-        assert soa.is_uniform()
-
+class TestSnapshot:
     def test_snapshot_copies_do_not_alias(self):
         """Mutating the array after the snapshot must not change it."""
         array = _loaded()

@@ -15,6 +15,8 @@ import pytest
 
 from repro import obs
 from repro.core import build_array, get_design
+from repro.energy.accounting import EnergyLedger
+from repro.faults.faultmap import FaultMap
 from repro.tcam import ArrayGeometry, BaseOutcome, TCAMArray, TCAMChip
 from repro.tcam.bank import HierarchicalBank, SegmentedBank
 from repro.tcam.cells import FeFET2TCell
@@ -60,8 +62,6 @@ class TestSpanSumEqualsOutcomeLedger:
             outcomes = array.search_batch(keys)
         (root,) = sess.spans
         assert root.name == "array.search_batch"
-        from repro.energy.accounting import EnergyLedger
-
         merged = EnergyLedger.sum(o.energy for o in outcomes)
         assert root.total_energy().as_dict() == merged.as_dict()
         assert root.total_energy().total == pytest.approx(
@@ -117,6 +117,40 @@ class TestSpanSumEqualsOutcomeLedger:
         assert root.total_energy().as_dict() == out.energy.as_dict()
         assert root.total_energy().total == out.energy.total
 
+    def _chip_batch(self, rng):
+        geo = ArrayGeometry(rows=16, cols=32)
+        chip = TCAMChip(lambda: build_array(get_design("fefet2t"), geo), n_banks=2)
+        chip.load([random_word(geo.cols, rng, x_fraction=0.2) for _ in range(32)])
+        keys = [random_word(geo.cols, rng) for _ in range(12)]
+        banks = [i % 2 for i in range(12)]
+        with obs.observe() as sess:
+            outcomes = chip.search_batch(keys, banks, idle_time=1e-7)
+        (root,) = sess.spans
+        return root, outcomes, banks
+
+    def test_chip_batch_root_total_matches_merged_ledgers(self, rng):
+        root, outcomes, _ = self._chip_batch(rng)
+        assert root.name == "chip.search_batch"
+        merged = EnergyLedger.sum(o.energy for o in outcomes).as_dict()
+        total = root.total_energy().as_dict()
+        # Same component set; per-component equal up to reassociation
+        # (the tree groups joules per bank, the outcome merge per key).
+        assert set(total) == set(merged)
+        for component, joules in merged.items():
+            assert total[component] == pytest.approx(joules, rel=1e-12)
+
+    def test_chip_batch_each_bank_subtree_exact(self, rng):
+        root, outcomes, banks = self._chip_batch(rng)
+        bank_spans = [c for c in root.children if c.name == "array.search_batch"]
+        assert len(bank_spans) == 2
+        # One batch per bank, in bank order; each subtree reproduces that
+        # bank's summed outcome ledgers exactly.
+        for bank_id, span in enumerate(bank_spans):
+            expected = EnergyLedger.sum(
+                o.outcome.energy for o, b in zip(outcomes, banks) if b == bank_id
+            )
+            assert span.total_energy().as_dict() == expected.as_dict()
+
     def test_nearest_match_exact(self, rng):
         array = _loaded_array(rng)
         with obs.observe() as sess:
@@ -134,30 +168,47 @@ class TestSpanSumEqualsOutcomeLedger:
 
 
 class TestMetricsAgreeWithInternals:
-    def test_cache_counters_match_trajectory_cache(self, rng):
+    def test_path_counters_sum_to_array_calls(self, rng):
+        """Every array call books exactly one engine-path counter."""
         array = _loaded_array(rng)
+        faulty = _loaded_array(rng)
+        fm = FaultMap(16, 16)
+        fm.set_dead_row(0)
+        faulty.attach_faults(fm)
         keys = [random_word(16, rng) for _ in range(10)]
+        calls = 0
         with obs.observe() as sess:
             array.search_batch(keys)
-            array.search_batch(keys)  # second batch hits the cache
+            array.nearest_match_batch(keys)
+            array.threshold_match_batch(keys, 2)
+            array.topk_match_batch(keys, 3)
+            calls += 4
+            array.search(keys[0])
+            array.nearest_match(keys[0])
+            array.threshold_match(keys[0], 2)
+            array.topk_match(keys[0], 3)
+            calls += 4
+            faulty.search_batch(keys)
+            faulty.search(keys[0])
+            calls += 2
         snap = sess.metrics.snapshot()
-        stats = array.ml_cache_stats()
-        assert snap["mlcache.hits"] == stats["hits"]
-        assert snap["mlcache.misses"] == stats["misses"]
-        assert snap["mlcache.evictions"] == stats["evictions"]
-        assert snap["mlcache.hits"] > 0
+        paths = {p: snap.get(f"tcam.path.{p}", 0) for p in ("kernel", "faulty", "scalar")}
+        assert paths == {"kernel": 4, "faulty": 2, "scalar": 4}
+        assert sum(paths.values()) == calls
+        assert "tcam.path.rk4_fallback" not in snap
 
-    def test_cache_counters_only_deltas_inside_session(self, rng):
+    def test_kernel_counters_only_deltas_inside_session(self, rng):
         array = _loaded_array(rng)
         keys = [random_word(16, rng) for _ in range(10)]
         array.search_batch(keys)  # unobserved traffic
-        before = array.ml_cache_stats()
+        before = array.kernel.counters()
         with obs.observe() as sess:
             array.search_batch(keys)
         snap = sess.metrics.snapshot()
-        stats = array.ml_cache_stats()
-        assert snap["mlcache.hits"] == stats["hits"] - before["hits"]
-        assert snap["mlcache.misses"] == stats["misses"] - before["misses"]
+        after = array.kernel.counters()
+        assert snap["kernels.table_hits"] == after["table_hits"] - before["table_hits"]
+        assert snap["kernels.rk4_fallbacks"] == 0
+        assert snap["tcam.path.kernel"] == 1
 
     def test_search_and_energy_counters(self, rng):
         array = _loaded_array(rng)
@@ -189,7 +240,7 @@ class TestMetricsAgreeWithInternals:
             array.write(0, random_word(8, rng))
         snap = sess.metrics.snapshot()
         assert snap["tcam.writes"] == 1.0
-        assert snap["mlcache.invalidations"] == 1.0
+        assert snap["tcam.cells_changed"] >= 0.0
 
 
 class TestDisabledPathIsFree:

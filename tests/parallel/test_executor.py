@@ -13,8 +13,10 @@ from repro.parallel import (
     map_chunks,
     resolve_workers,
     scatter_gather,
+    shutdown_pools,
     spawn_seeds,
 )
+from repro.parallel.executor import _get_pool
 
 
 @pytest.fixture(autouse=True)
@@ -39,6 +41,13 @@ def _traced_square(x: int) -> int:
         m.counter("test.calls").inc()
     with obs.span("test.work", x=x):
         return x * x
+
+
+def _slow_identity(i: int) -> int:
+    import time
+
+    time.sleep(0.05)
+    return i
 
 
 def _boom(x: int) -> int:
@@ -171,3 +180,19 @@ class TestObservabilityCapture:
 
     def test_no_session_is_fine(self):
         assert scatter_gather(_traced_square, [3], workers=2) == [9]
+
+
+class TestWarmPools:
+    def test_pool_is_reused_across_calls(self):
+        pool = _get_pool(2)
+        assert _get_pool(2) is pool
+        assert scatter_gather(_square, [1, 2, 3], workers=2) == [1, 4, 9]
+        assert _get_pool(2) is pool, "scatter/gather must not rebuild the warm pool"
+
+    def test_shutdown_pools_wait_drains_inflight_work(self):
+        """shutdown_pools(wait=True) returns only after queued chunks ran."""
+        pool = _get_pool(2)
+        futures = [pool.submit(_slow_identity, i) for i in range(4)]
+        shutdown_pools(wait=True)
+        assert all(f.done() for f in futures)
+        assert sorted(f.result() for f in futures) == [0, 1, 2, 3]

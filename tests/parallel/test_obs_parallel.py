@@ -1,25 +1,14 @@
-"""Observability invariants under process parallelism.
+"""Observability under process parallelism (trial-level fan-out).
 
 Worker sessions are captured and grafted back into the parent span tree
 (one ``<prefix>.chunk[i]`` child per chunk) and worker metric registries
-merge in chunk order.  The PR-2 span-sum invariant must survive:
-
-* **array level** -- a ``array.search_batch`` root's merged tree energy
-  equals the summed outcome ledgers *exactly*, workers or not (the batch
-  span owns the summed ledger; grafted chunks carry no energy).
-* **chip level** -- the root's own energy (wake + idle leakage) and each
-  bank chunk's subtree are individually float-exact; the full-tree total
-  matches the merged outcome ledgers up to floating-point reassociation
-  only (the tree groups joules per bank, the outcome merge per key), so
-  equality is asserted per component at 1e-12 relative tolerance with an
-  identical component set.
-* **metrics** -- integer-valued counters match serial exactly; energy
-  counters match to 1e-12 (same reassociation caveat).
+merge in chunk order.  A search never fans out by itself, but a batch
+search run as one worker's trial must keep the span-sum invariant after
+grafting; the in-process search invariants live in
+``tests/obs/test_invariants.py``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -30,8 +19,8 @@ from repro.analysis import montecarlo as mc_mod
 from repro.core import build_array, get_design
 from repro.devices.variability import NOMINAL_VARIATION
 from repro.energy.accounting import EnergyLedger
+from repro.parallel import scatter_gather
 from repro.tcam import ArrayGeometry
-from repro.tcam.chip import TCAMChip
 from repro.tcam.trit import random_word
 
 
@@ -49,96 +38,35 @@ def _loaded_array(rows=16, cols=32):
     return array
 
 
+def _search_chunk(payload):
+    """Worker payload: one batch search on the worker's copy of the array."""
+    array, keys = payload
+    return array.search_batch(keys)
+
+
 class TestArrayInvariantUnderWorkers:
     def test_span_sum_equals_merged_ledgers_exactly(self):
+        """A batch search run inside a worker keeps the span-sum invariant
+        once its session is grafted under the parent's chunk span."""
         array = _loaded_array()
-        keys = [random_word(32, np.random.default_rng(11)) for _ in range(18)]
+        rng = np.random.default_rng(11)
+        keys = [random_word(32, rng) for _ in range(18)]
+        payloads = [(array, keys[:9]), (array, keys[9:])]
         with obs.observe() as sess:
-            outcomes = array.search_batch(keys, workers=2)
-        (root,) = sess.spans
-        assert root.name == "array.search_batch"
-        merged = EnergyLedger.sum(o.energy for o in outcomes)
-        assert root.total_energy().as_dict() == merged.as_dict()
-        assert root.total_energy().total == merged.total
-
-    def test_parallel_chunk_spans_carry_no_energy(self):
-        array = _loaded_array()
-        keys = [random_word(32, np.random.default_rng(11)) for _ in range(18)]
-        with obs.observe() as sess:
-            array.search_batch(keys, workers=2)
-        (root,) = sess.spans
-        chunk_spans = [c for c in root.children if ".chunk[" in c.name]
-        assert chunk_spans, "parallel path must create chunk spans"
-        for sp in chunk_spans:
-            assert sp.total_energy().total == 0.0
-
-
-class TestChipInvariantUnderWorkers:
-    def _traced_batch(self, workers):
-        geo = ArrayGeometry(rows=16, cols=32)
-        chip = TCAMChip(lambda: build_array(get_design("fefet2t"), geo), n_banks=2)
-        chip.load(
-            [random_word(geo.cols, np.random.default_rng(2), x_fraction=0.2) for _ in range(32)]
-        )
-        keys = [random_word(geo.cols, np.random.default_rng(5)) for _ in range(12)]
-        banks = [i % 2 for i in range(12)]
-        with obs.observe() as sess:
-            outcomes = chip.search_batch(keys, banks, idle_time=1e-7, workers=workers)
-        (root,) = sess.spans
-        return root, outcomes, banks
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_root_total_matches_merged_ledgers(self, workers):
-        root, outcomes, banks = self._traced_batch(workers)
-        assert root.name == "chip.search_batch"
-        merged = EnergyLedger.sum(o.energy for o in outcomes).as_dict()
-        total = root.total_energy().as_dict()
-        # Same component set; per-component equal up to reassociation.
-        assert set(total) == set(merged)
-        for component, joules in merged.items():
-            assert math.isclose(total[component], joules, rel_tol=1e-12)
-
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_each_bank_chunk_exact(self, workers):
-        root, outcomes, banks = self._traced_batch(workers)
-        chunks = [c for c in root.children if c.name.startswith("chip.bank.chunk[")]
-        assert len(chunks) == 2
-        # Chunks are ordered by bank id; each subtree must reproduce the
-        # summed bank-level outcome ledgers of that bank exactly.
-        for bank_id, chunk in enumerate(chunks):
-            bank_outcomes = [
-                o.outcome for o, b in zip(outcomes, banks) if b == bank_id
-            ]
-            expected = EnergyLedger.sum(o.energy for o in bank_outcomes)
-            assert chunk.total_energy().as_dict() == expected.as_dict()
+            results = scatter_gather(
+                _search_chunk, payloads, workers=2, span_prefix="search"
+            )
+        assert [sp.name for sp in sess.spans] == ["search.chunk[0]", "search.chunk[1]"]
+        for chunk, outcomes in zip(sess.spans, results):
+            (root,) = chunk.children
+            assert root.name == "array.search_batch"
+            merged = EnergyLedger.sum(o.energy for o in outcomes)
+            assert root.total_energy().as_dict() == merged.as_dict()
+            assert root.total_energy().total == merged.total
+            assert chunk.total_energy().as_dict() == merged.as_dict()
 
 
 class TestMetricsUnderWorkers:
-    INTEGER_METRICS = (
-        "tcam.searches",
-        "chip.searches",
-        "mlcache.hits",
-        "mlcache.misses",
-        "mlcache.evictions",
-        "mc.samples",
-    )
-
-    def _snapshot(self, workers):
-        array = _loaded_array()
-        keys = [random_word(32, np.random.default_rng(7)) for _ in range(20)]
-        with obs.observe() as sess:
-            array.search_batch(keys, workers=workers)
-        return sess.metrics.snapshot()
-
-    def test_serial_vs_parallel_totals(self):
-        serial = self._snapshot(1)
-        par = self._snapshot(2)
-        for name in serial:
-            if name in self.INTEGER_METRICS:
-                assert par[name] == serial[name], name
-            elif name.startswith("energy."):
-                assert math.isclose(par[name], serial[name], rel_tol=1e-12), name
-
     def test_mc_chunk_spans_and_metrics(self, monkeypatch):
         monkeypatch.setattr(mc_mod, "MC_CHUNK_SAMPLES", 16)
         array = build_array(get_design("fefet2t"), ArrayGeometry(8, 16))
@@ -147,9 +75,9 @@ class TestMetricsUnderWorkers:
         names = [sp.name for sp in sess.spans]
         assert names == [f"mc.margin.chunk[{i}]" for i in range(3)]
 
-    def test_disabled_obs_with_workers_is_fine(self):
-        array = _loaded_array(rows=8, cols=16)
-        keys = [random_word(16, np.random.default_rng(9)) for _ in range(8)]
-        outcomes = array.search_batch(keys, workers=2)
-        assert len(outcomes) == 8
+    def test_disabled_obs_with_workers_is_fine(self, monkeypatch):
+        monkeypatch.setattr(mc_mod, "MC_CHUNK_SAMPLES", 16)
+        array = build_array(get_design("fefet2t"), ArrayGeometry(8, 16))
+        result = run_margin_mc(array, NOMINAL_VARIATION, n_samples=40, seed=3, workers=2)
+        assert result.n_samples == 40
         assert not obs.is_enabled()

@@ -10,6 +10,7 @@ import pytest
 from repro import obs
 from repro.core import build_array, get_design
 from repro.errors import ServeError
+from repro.obs.metrics import HISTOGRAM_SAMPLE_CAP, Histogram
 from repro.serve import (
     AdmissionControl,
     ArrayBackend,
@@ -24,17 +25,19 @@ from repro.serve import (
     run_trace,
     serve_trace,
 )
+from repro.serve.engine import RequestRecord
+from repro.serve.service import build_report
 from repro.tcam import ArrayGeometry, random_word
 from repro.tcam.chip import TCAMChip
 
 COLS = 16
 
 
-def _backend(workers: int = 0) -> ArrayBackend:
+def _backend() -> ArrayBackend:
     array = build_array(get_design("fefet2t"), ArrayGeometry(rows=8, cols=COLS))
     rng = np.random.default_rng(42)
     array.load([random_word(COLS, rng) for _ in range(8)])
-    return ArrayBackend(array, workers=workers)
+    return ArrayBackend(array)
 
 
 def _chip_backend() -> ChipBackend:
@@ -71,16 +74,6 @@ class TestBitReproducibility:
         )
         assert sync.rejected == conc.rejected > 0
         assert sync.to_dict(include_records=True) == conc.to_dict(include_records=True)
-
-    def test_worker_count_does_not_change_records(self):
-        """The backend's search_batch worker count is a pure execution
-        detail -- records must be bit-identical."""
-        trace = poisson_trace(120, rate=5e6, cols=COLS, seed=3)
-        serial = run_trace(_backend(workers=1), trace, make_policy("adaptive"))
-        parallel = run_trace(_backend(workers=2), trace, make_policy("adaptive"))
-        assert serial.to_dict(include_records=True) == parallel.to_dict(
-            include_records=True
-        )
 
     def test_repeated_runs_identical(self):
         trace = mmpp_trace(100, rate=3e6, cols=COLS, seed=9)
@@ -211,3 +204,27 @@ class TestReportAndObs:
         assert engine.drain() == []
         engine.check_conservation()
         assert trace.offered_rate == 0.0  # single arrival has no span
+
+    def test_percentiles_exact_past_the_histogram_cap(self):
+        """A period-64 latency pattern aliases with a stride-thinned
+        sample; report percentiles must stay exact at any count."""
+        period, n = 64, 3 * HISTOGRAM_SAMPLE_CAP
+        latencies = [9e-6 if i % period == period - 1 else 1e-6 for i in range(n)]
+        records = [
+            RequestRecord(i, 0.0, 0.0, lat, i // period, period, False, None, 0.0)
+            for i, lat in enumerate(latencies)
+        ]
+        engine = ServeEngine(_backend(), no_batching())
+        engine.offered = engine.completed = n
+        trace = poisson_trace(1, rate=1e6, cols=COLS, seed=0)
+        report = build_report(engine, trace, records)
+        exact = np.percentile(latencies, (50, 95, 99))
+        assert (report.latency_p50, report.latency_p95, report.latency_p99) == tuple(
+            float(v) for v in exact
+        )
+        assert report.latency_p99 == 9e-6
+        # The thinned histogram never sees the slow slot (odd index).
+        thinned = Histogram("latency")
+        for lat in latencies:
+            thinned.observe(lat)
+        assert thinned.quantile(99.0) == 1e-6

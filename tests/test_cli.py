@@ -68,16 +68,12 @@ class TestMonteCarlo:
         out = capsys.readouterr().out
         assert "margin mean" in out
 
-    def test_kernel_flag_leaves_margins_bit_identical(self, capsys):
-        """--kernel enables the compiled tables on the array under test;
-        margins (and the process fan-out pickling it) must not change."""
+    def test_workers_flag_leaves_margins_bit_identical(self, capsys):
+        """--workers fans the sample chunks out; margins must not change."""
         small = ["mc", "--samples", "20", "--rows", "4", "--cols", "16", "--json"]
         assert main(small) == 0
         plain = json.loads(capsys.readouterr().out)
-        assert main(small + ["--kernel"]) == 0
-        kernel = json.loads(capsys.readouterr().out)
-        assert plain == kernel
-        assert main(small + ["--kernel", "--workers", "2"]) == 0
+        assert main(small + ["--workers", "2"]) == 0
         assert plain == json.loads(capsys.readouterr().out)
 
 
@@ -128,12 +124,11 @@ class TestDse:
         for row in payload["frontier"]:
             assert row["functional_errors"] == 0
 
-    def test_kernel_flag_bit_identical(self, capsys):
+    def test_workers_flag_bit_identical(self, capsys):
         main([*self.ARGS, "--json"])
         plain = json.loads(capsys.readouterr().out)
-        main([*self.ARGS, "--kernel", "--json"])
-        kernel = json.loads(capsys.readouterr().out)
-        assert plain == kernel
+        main([*self.ARGS, "--workers", "2", "--json"])
+        assert plain == json.loads(capsys.readouterr().out)
 
 
 class TestReportValidation:
@@ -276,10 +271,10 @@ class TestFaults:
         assert not obs.is_enabled()
         assert "faults.campaign" in capsys.readouterr().out
 
-    def test_kernel_flag_bit_identical(self, capsys):
+    def test_workers_flag_bit_identical(self, capsys):
         assert main(self._SMALL + ["--json"]) == 0
         plain = json.loads(capsys.readouterr().out)
-        assert main(self._SMALL + ["--json", "--kernel"]) == 0
+        assert main(self._SMALL + ["--json", "--workers", "2"]) == 0
         assert plain == json.loads(capsys.readouterr().out)
 
 
@@ -306,12 +301,6 @@ class TestCluster:
             assert point["churn_integrity"]
             assert point["throughput"] > 0.0
 
-    def test_workers_flag_bit_identical(self, capsys):
-        assert main(self._SMALL + ["--json"]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(self._SMALL + ["--json", "--workers", "2"]) == 0
-        assert serial == json.loads(capsys.readouterr().out)
-
     def test_traceable(self, capsys):
         from repro import obs
 
@@ -322,3 +311,24 @@ class TestCluster:
     def test_bad_policy_rejected(self, capsys):
         assert main(["cluster", "--chips", "1", "--policy", "nope",
                      "--rules", "8", "--cols", "12", "--requests", "10"]) != 0
+
+
+class TestRemovedEngineFlags:
+    """Batches always run on the compiled kernel and searches never fan
+    out, so the engine-choice and search-level worker flags are gone."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--kernel"],
+            ["compare", "--workers", "2"],
+            ["lpm", "--workers", "2"],
+            ["serve", "--kernel"],
+            ["cluster", "--workers", "2"],
+            ["mc", "--kernel"],
+            ["retrieval", "--no-kernel"],
+        ],
+    )
+    def test_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(argv)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.tcam import TCAMArray
 from repro.workloads.retrieval import (
     CorpusConfig,
     RetrievalIndex,
@@ -123,17 +124,27 @@ class TestRetrievalIndex:
         assert recalls == sorted(recalls)
         assert recalls[-1] == 1.0  # t = dims accepts every row
 
-    def test_kernel_and_scalar_paths_agree(self):
+    def test_kernel_and_scalar_paths_agree(self, monkeypatch):
+        """The index's batch (kernel) answers equal a run whose banks
+        answer through the scalar per-key APIs."""
         signatures, queries, _ = _small_setup(n_entries=120, dims=16)
-        a = RetrievalIndex(signatures, bank_rows=32, banks_per_chip=2, use_kernel=True)
-        b = RetrievalIndex(signatures, bank_rows=32, banks_per_chip=2, use_kernel=False)
+        a = RetrievalIndex(signatures, bank_rows=32, banks_per_chip=2)
         rows_a, dist_a, stats_a = a.query_topk(queries, 3)
+        cand_a, th_a = a.query_threshold(queries, 3)
+        monkeypatch.setattr(
+            TCAMArray, "topk_match_batch",
+            lambda self, keys, k: [self.topk_match(q, k) for q in keys],
+        )
+        monkeypatch.setattr(
+            TCAMArray, "threshold_match_batch",
+            lambda self, keys, d: [self.threshold_match(q, d) for q in keys],
+        )
+        b = RetrievalIndex(signatures, bank_rows=32, banks_per_chip=2)
         rows_b, dist_b, stats_b = b.query_topk(queries, 3)
         assert np.array_equal(rows_a, rows_b)
         assert np.array_equal(dist_a, dist_b)
         assert stats_a.energy_total == stats_b.energy_total
         assert stats_a.latency_mean == stats_b.latency_mean
-        cand_a, th_a = a.query_threshold(queries, 3)
         cand_b, th_b = b.query_threshold(queries, 3)
         assert cand_a == cand_b
         assert th_a.energy_total == th_b.energy_total
