@@ -21,7 +21,10 @@ own numbers (valid on any host, CPU count does not matter):
 * combined false-match + false-miss counts are non-decreasing in
   density (guaranteed by the nested fault plans);
 * a 2-worker campaign reproduces the serial campaign bit-identically;
-* spare-row repair never yields worse than no repair.
+* spare-row repair never yields worse than no repair;
+* at the highest density, a fault-injected ``search_batch`` equals the
+  per-key ``search()`` loop outcome for outcome, ledger booking order
+  included, under both sensing styles.
 """
 
 from __future__ import annotations
@@ -30,8 +33,14 @@ import argparse
 import json
 import pathlib
 
+import numpy as np
+
 from repro.analysis.faultcampaign import run_fault_campaign
+from repro.core import build_array, get_design
+from repro.faults import FaultCampaign
+from repro.tcam import ArrayGeometry
 from repro.tcam.outcome import SCHEMA_VERSION
+from repro.tcam.trit import random_word
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DESIGN = "fefet2t"
@@ -126,6 +135,42 @@ def check_contracts(record: dict, workers: int) -> None:
             f"{n['post_repair_yield']} at density {n['density']}"
         )
     print("check: spare-row repair never below no-repair yield OK")
+
+    check_batch_equals_scalar(config)
+    print("check: faulty search_batch == per-key search() OK")
+
+
+def check_batch_equals_scalar(config: dict) -> None:
+    """At the highest density, a faulty batch equals the scalar loop."""
+    rows, cols = config["rows"], config["cols"]
+    density = max(config["densities"])
+    for design in (DESIGN, "fefet_cr"):
+        rng = np.random.default_rng(SEED)
+        words = [random_word(cols, rng, x_fraction=0.1) for _ in range(rows)]
+        campaign = FaultCampaign(rows, cols)
+        fmap = campaign.draw("random", rng).at_density(density)
+        fmap = campaign.with_dead_rows(fmap, 0.1, rng)
+        fmap = campaign.with_sa_offsets(fmap, 0.02, rng)
+        keys = [random_word(cols, rng, x_fraction=0.1) for _ in range(4 * config["n_keys"])]
+        keys += words[: config["n_keys"]]
+        arrays = []
+        for _ in range(2):
+            array = build_array(get_design(design), ArrayGeometry(rows, cols))
+            array.load(words)
+            array.attach_faults(fmap.copy())
+            arrays.append(array)
+        scalar, batch = arrays
+        for s, b in zip([scalar.search(k) for k in keys], batch.search_batch(keys)):
+            same = (
+                np.array_equal(s.match_mask, b.match_mask)
+                and s.first_match == b.first_match
+                and s.search_delay == b.search_delay
+                and s.cycle_time == b.cycle_time
+                and s.miss_histogram == b.miss_histogram
+                and s.functional_errors == b.functional_errors
+                and list(s.energy) == list(b.energy)
+            )
+            assert same, f"{design}: faulty search_batch diverged from search()"
 
 
 def main() -> None:

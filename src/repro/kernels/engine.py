@@ -7,15 +7,18 @@ sensing results -- match verdicts, restore/dissipation/sense energies,
 strobe and restore delays -- plus per-``driven`` rows of distance-mode
 strobe windows.  The rows survive writes (content never enters the
 class physics), are gathered with fancy indexing by every batch API,
-and are the one memo of class physics the array keeps: the fault-
-injected loop and the per-key distance bodies read them too.
+and are the array's memo of nominal class physics (the per-key
+distance bodies read them too).  Fault-shaped classes -- a row whose
+weakened retention pull-downs conduct, or whose sense amp carries an
+offset -- are memoized beside the rows by their full physics signature
+(:meth:`KernelEngine.signature_results`).
 
 Precharge-style rows are derived from a :class:`WaveformTable` (the
 tabulated RK4 endpoints); current-race rows evaluate the race amp's
 closed form per class.  Both reuse the array's own per-class helpers
 (:meth:`TCAMArray._precharge_class_from_v_end` /
-:meth:`TCAMArray._race_class`), so every tabulated quantity is the
-exact object the scalar search would have computed.
+:meth:`TCAMArray._signature_results`), so every tabulated quantity is
+the exact object the scalar search would have computed.
 
 Counters: ``table_hits`` counts per-key class queries served from the
 tables, ``rk4_fallbacks`` counts queries answered by the RK4 reference
@@ -87,6 +90,14 @@ class RaceClassRow:
     delay: np.ndarray
 
 
+class SignatureMemo(dict):
+    """Signature-keyed class results; a deep copy of the array (same
+    electrical configuration) shares them instead of copying them."""
+
+    def __deepcopy__(self, memo: dict) -> "SignatureMemo":
+        return self
+
+
 class KernelEngine:
     """Compiled class tables + counters for one :class:`TCAMArray`.
 
@@ -113,6 +124,9 @@ class KernelEngine:
         self.rk4_fallbacks = 0
         self._rows: dict[int, PrechargeClassRow | RaceClassRow] = {}
         self._window_rows: dict[int, np.ndarray] = {}
+        # Sensing results of exceptional (fault-shaped) classes, keyed by
+        # the full physics signature -- it can never go stale.
+        self._signatures = SignatureMemo()
         if array.sensing == "precharge":
             self.waveform: WaveformTable | None = WaveformTable(
                 array.c_ml,
@@ -152,36 +166,25 @@ class KernelEngine:
 
     def _build_row(self, driven: int) -> PrechargeClassRow | RaceClassRow:
         array = self._array
-        n = driven + 1
         if array.sensing == "precharge":
-            v_ends = self.waveform.row(driven)
-            fields = {
-                name: np.empty(n)
-                for name in ("v_end", "e_restore", "e_diss", "e_sense", "t_sense", "t_restore")
-            }
-            is_match = np.empty(n, dtype=bool)
-            for k in range(n):
-                res = array._precharge_class_from_v_end(float(v_ends[k]))
-                fields["v_end"][k] = res.v_end
-                fields["e_restore"][k] = res.e_restore
-                fields["e_diss"][k] = res.e_diss
-                fields["e_sense"][k] = res.e_sense
-                fields["t_sense"][k] = res.t_sense
-                fields["t_restore"][k] = res.t_restore
-                is_match[k] = res.is_match
-            built: PrechargeClassRow | RaceClassRow = PrechargeClassRow(
-                is_match=is_match, **fields
-            )
+            results = [
+                array._precharge_class_from_v_end(float(v)) for v in self.waveform.row(driven)
+            ]
+            row_type = PrechargeClassRow
         else:
-            is_match = np.empty(n, dtype=bool)
-            energy = np.empty(n)
-            delay = np.empty(n)
-            for k in range(n):
-                res = array._race_class(k, driven)
-                is_match[k] = res.is_match
-                energy[k] = res.energy
-                delay[k] = res.delay
-            built = RaceClassRow(is_match=is_match, energy=energy, delay=delay)
+            results = array._signature_results(
+                [(n, (), driven - n, 0.0) for n in range(driven + 1)]
+            )
+            row_type = RaceClassRow
+        built = row_type(
+            **{
+                name: np.array(
+                    [getattr(r, name) for r in results],
+                    dtype=bool if name == "is_match" else float,
+                )
+                for name in row_type.__dataclass_fields__
+            }
+        )
         for field in vars(built).values():
             field.setflags(write=False)
         return built
@@ -223,6 +226,22 @@ class KernelEngine:
         self._window_rows[driven] = out
         return out
 
+    def signature_results(self, signatures: list[tuple]) -> list:
+        """Sensing results of exceptional classes, memoized by signature.
+
+        A signature is ``(n_strong, weak_offsets, n_leak, sa_offset)``
+        (see :meth:`TCAMArray._signature_results`).  It fixes the whole
+        physics of a match line, so the memo survives writes, fault-map
+        changes and array copies.  Every missing signature integrates in
+        one stacked pass inside a ``kernels.integrate_signatures`` span.
+        """
+        memo = self._signatures
+        missing = [s for s in dict.fromkeys(signatures) if s not in memo]
+        if missing:
+            with obs.span("kernels.integrate_signatures", n_signatures=len(missing)):
+                memo.update(zip(missing, self._array._signature_results(missing)))
+        return [memo[s] for s in signatures]
+
     def _electrical_signature(self) -> tuple:
         """The parameters the compiled tables depend on (and nothing else)."""
         array = self._array
@@ -249,12 +268,14 @@ class KernelEngine:
     def adopt_tables(self, donor: "KernelEngine") -> None:
         """Share the donor engine's compiled tables with this engine.
 
-        The class tables depend only on the array's electrical
-        configuration, never on its contents -- so a fleet of identical
-        banks (a :class:`~repro.tcam.chip.TCAMChip`, a sharded retrieval
-        index) can compile the triangle once and serve every bank from
-        it.  The caches are shared *by reference*: a row lazily built
-        through any adopting engine becomes visible to all of them.
+        The class tables and the signature memo depend only on the
+        array's electrical configuration, never on its contents or its
+        fault map -- so a fleet of identical banks (a
+        :class:`~repro.tcam.chip.TCAMChip`, a sharded retrieval index) can
+        compile the triangle once and serve every bank from it.  The
+        caches are shared *by reference*: a row lazily built (or a
+        signature integrated) through any adopting engine becomes
+        visible to all of them.
         Hit/fallback counters stay per-engine.
 
         Raises:
@@ -272,6 +293,7 @@ class KernelEngine:
             )
         self._rows = donor._rows
         self._window_rows = donor._window_rows
+        self._signatures = donor._signatures
         self.waveform = donor.waveform
 
     # -- validation / diagnostics -----------------------------------------

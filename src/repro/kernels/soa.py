@@ -14,6 +14,10 @@ planes.  Every product term is 0 or 1 and every partial sum is an
 integer bounded by ``cols``, so float32 BLAS accumulates the counts
 *exactly* (all intermediates are integers below 2**24) in any summation
 order -- the result is bit-identical to the broadcast count.
+
+A fault map adds three more plane pairs under the same key matrix
+(see :class:`FaultPlanes`): the hardware's effective content, the cells
+that pull the match line down and the retention-weakened subset of those.
 """
 
 from __future__ import annotations
@@ -23,9 +27,51 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import KernelError
+from ..faults.faultmap import FaultKind
 
-# Trit encoding (see repro.tcam.trit): 0 -> 0, 1 -> 1, X -> 2.
-_X = 2
+
+@dataclass(frozen=True)
+class FaultPlanes:
+    """Fault-aware planes of one content version.
+
+    A cell pulls its match line down under a key driving 1 (0) when its
+    effective trit is 0 (1) and its compare path is intact, or when it is
+    ``STUCK_MISS``; ``STUCK_TRIT`` cells compare with their frozen trit.
+
+    Attributes:
+        planes: ``(3, 2*cols, rows)`` bool -- the effective-content,
+            pull-down and retention-pull-down plane pairs, each with its
+            drive-1 plane on top of its drive-0 plane (bools take a
+            quarter of the bytes; widened per batch).
+        value: ``(rows, cols)`` retention Vt shifts [V].
+        dead: ``(rows,)`` bool dead rows.
+        sa_offset: ``(rows,)`` per-row sense-amp offsets [V].
+
+    The row-level vectors are the attached map's own arrays: its
+    mutators move the array's content version, which rebuilds the
+    snapshot before it is read again.
+    """
+
+    planes: np.ndarray
+    value: np.ndarray
+    dead: np.ndarray
+    sa_offset: np.ndarray
+
+    @classmethod
+    def from_map(cls, fm, stored: np.ndarray) -> "FaultPlanes":
+        eff = fm.effective_stored(stored)
+        kind = fm.kind
+        intact = kind != int(FaultKind.STUCK_MATCH)
+        short = kind == int(FaultKind.STUCK_MISS)
+        retention = kind == int(FaultKind.RETENTION)
+        pull = [((eff == t) & intact) | short for t in (0, 1)]
+        pairs = [(eff == 0, eff == 1), pull, [p & retention for p in pull]]
+        return cls(
+            planes=np.stack([np.vstack([lo.T, hi.T]) for lo, hi in pairs]),
+            value=fm.value,
+            dead=fm.dead_rows,
+            sa_offset=fm.sa_offset,
+        )
 
 
 @dataclass
@@ -35,67 +81,94 @@ class SoAState:
     Attributes:
         version: The array content version this snapshot was built from;
             the array rebuilds the snapshot when its counter moves.
-        plane0_t: ``(cols, rows)`` float32, 1.0 where the row stores 0.
-        plane1_t: ``(cols, rows)`` float32, 1.0 where the row stores 1.
+        planes: ``(2*cols, rows)`` float32 matmul operand: 1.0 where the
+            row stores 0 (top half) or 1 (bottom half).
         valid: ``(rows,)`` bool copy of the valid bits.
+        faults: Fault-aware planes, or ``None`` on healthy hardware.
     """
 
     version: int
-    plane0_t: np.ndarray
-    plane1_t: np.ndarray
+    planes: np.ndarray
     valid: np.ndarray
+    faults: FaultPlanes | None = None
 
     @classmethod
     def from_array(cls, array, version: int) -> "SoAState":
-        """Snapshot ``array``'s stored content."""
+        """Snapshot ``array``'s stored content (and its fault map)."""
         stored = array._stored
         if array.geometry.cols >= 2**24:
             # float32 accumulation is only exact while every partial sum
             # (bounded by cols) stays an exact float32 integer.
             raise KernelError("SoA matmul counts require cols < 2**24")
-        plane0_t = np.ascontiguousarray((stored == 0).T, dtype=np.float32)
-        plane1_t = np.ascontiguousarray((stored == 1).T, dtype=np.float32)
+        fm = array.faults
         return cls(
             version=version,
-            plane0_t=plane0_t,
-            plane1_t=plane1_t,
+            planes=np.ascontiguousarray(
+                np.vstack([(stored == 0).T, (stored == 1).T]), dtype=np.float32
+            ),
             valid=array._valid.copy(),
+            faults=None if fm is None or fm.is_empty() else FaultPlanes.from_map(fm, stored),
         )
 
-    def mismatch_counts(self, packed: np.ndarray) -> np.ndarray:
-        """Matmul mismatch counts for a stacked key batch.
+    def search_counts(self, packed: np.ndarray):
+        """Per-(key, row) counts of one key batch, by exact matmuls.
 
         Args:
             packed: ``(n_keys, cols)`` int8 key matrix (trit codes).
 
         Returns:
-            ``(n_keys, rows)`` int64 counts, bit-identical to
-            :func:`repro.tcam.trit.mismatch_counts_batch` on the
-            snapshot's content.
+            ``(intended, effective, pull, weak)``, each ``(n_keys, rows)``
+            int64: mismatches on the written content, mismatches on the
+            content the hardware holds, conducting pull-downs and the
+            retention-weakened subset of them.  On healthy hardware the
+            first three are one array and ``weak`` is ``None``.
         """
         packed = np.asarray(packed)
-        if packed.ndim != 2 or packed.shape[1] != self.plane0_t.shape[0]:
+        cols = self.planes.shape[0] // 2
+        if packed.ndim != 2 or packed.shape[1] != cols:
             raise KernelError(
-                f"key batch shape {packed.shape} does not match plane shape "
-                f"{self.plane0_t.shape}"
+                f"key batch shape {packed.shape} does not match {cols} plane columns"
             )
-        cols = packed.shape[1]
         # A driven-1 column mismatches stored 0s; a driven-0 column
         # mismatches stored 1s; X on either side never mismatches.  Both
-        # products run as ONE matmul over vertically stacked planes: every
-        # partial sum is still an exact integer below 2**24, so float32
-        # accumulation order cannot change the (integer) result.
+        # drive polarities run as ONE matmul over the stacked planes:
+        # every partial sum is still an exact integer below 2**24, so
+        # float32 accumulation order cannot change the (integer) result.
         kd = np.empty((packed.shape[0], 2 * cols), dtype=np.float32)
         np.equal(packed, 1, out=kd[:, :cols], casting="unsafe")
         np.equal(packed, 0, out=kd[:, cols:], casting="unsafe")
-        miss = kd @ self._stacked_planes()
-        return miss.astype(np.int64)
+        intended = (kd @ self.planes).astype(np.int64)
+        if self.faults is None:
+            return intended, intended, intended, None
+        # One healthy-sized product per fault plane pair: BLAS runs them
+        # on the calling thread like a healthy batch (a single product
+        # four pairs wide went to BLAS worker threads and jittered).
+        return (intended, *(kd @ self.faults.planes.astype(np.float32)).astype(np.int64))
 
-    def _stacked_planes(self) -> np.ndarray:
-        """``(2*cols, rows)`` vertical stack of the two trit planes,
-        built once per snapshot (content changes rebuild the snapshot)."""
-        stacked = getattr(self, "_planes_cache", None)
-        if stacked is None:
-            stacked = np.vstack([self.plane0_t, self.plane1_t])
-            self._planes_cache = stacked
-        return stacked
+    def mismatch_counts(self, packed: np.ndarray) -> np.ndarray:
+        """Matmul mismatch counts for a stacked key batch.
+
+        Returns ``(n_keys, rows)`` int64 counts, bit-identical to
+        :func:`repro.tcam.trit.mismatch_counts_batch` on the snapshot's
+        written content.
+        """
+        return self.search_counts(packed)[0]
+
+    def weak_offsets(
+        self, packed: np.ndarray, keys: np.ndarray, rows: np.ndarray
+    ) -> list[tuple[float, ...]]:
+        """Sorted Vt shifts of the conducting retention cells per pair.
+
+        Entry ``i`` covers key ``keys[i]`` on row ``rows[i]``: the
+        ascending Vt shifts of that row's retention-weakened pull-downs
+        the key turns on (empty when none conduct).
+        """
+        cols = packed.shape[1]
+        weak = self.faults.planes[2][:, rows].T
+        key_rows = packed[keys]
+        cells = (weak[:, :cols] & (key_rows == 1)) | (weak[:, cols:] & (key_rows == 0))
+        shifts = np.where(cells, self.faults.value[rows], np.inf)
+        shifts.sort(axis=1)
+        return [
+            tuple(s[:n].tolist()) for s, n in zip(shifts, np.count_nonzero(cells, axis=1))
+        ]

@@ -4,9 +4,10 @@ A :class:`TCAMArray` holds ``rows`` ternary words of ``cols`` trits in a
 given cell technology and executes the two TCAM operations:
 
 * :meth:`TCAMArray.search` -- parallel compare of a key against every row.
-  Rows are grouped by their mismatch count (all rows with ``n`` conducting
-  cells share identical match-line dynamics), each group's ML trajectory is
-  integrated once, and the per-component energies are booked into an
+  Rows are grouped by their sensing class (all rows with the same
+  pull-down signature and sense-amp offset share identical match-line
+  dynamics), each group's ML trajectory is integrated once, and the
+  per-component energies are booked into an
   :class:`~repro.energy.accounting.EnergyLedger`.
 * :meth:`TCAMArray.write` -- replace one stored word, paying the cell
   technology's per-trit transition costs.
@@ -15,8 +16,9 @@ Engine rule: the scalar APIs (:meth:`~TCAMArray.search`,
 :meth:`~TCAMArray.nearest_match`, :meth:`~TCAMArray.threshold_match`,
 :meth:`~TCAMArray.topk_match`) are the golden reference; every ``*_batch``
 API runs on the compiled kernel (:mod:`repro.kernels`) and is
-bit-identical to a loop of scalar calls.  Fault-injected batches keep
-the per-key reference loop.
+bit-identical to a loop of scalar calls -- on healthy and fault-
+injected hardware alike (a healthy row is a faulty row with an empty
+fault map).
 
 Two sensing styles are supported (``sensing="precharge"`` and
 ``sensing="current_race"``), covering the conventional NOR scheme and the
@@ -354,9 +356,6 @@ class TCAMArray:
         self._faults: FaultMap | None = None
         self._faults_seen_version = -1
         self._faults_empty = True
-        # Retention-degraded fault classes -> sensing results; valid for
-        # one fault-map version (cleared when the map changes).
-        self._retention_memo: dict[tuple, _PrechargeClassResult] = {}
         # Compiled-kernel state: the engine (built on first use) compiles
         # per-class sensing tables that survive writes; the SoA snapshot
         # tracks stored content through this version counter (bumped by
@@ -600,19 +599,21 @@ class TCAMArray:
     # ------------------------------------------------------------------
 
     def attach_faults(self, faults: FaultMap | None) -> None:
-        """Attach a defect map; searches then run the fault-injected path.
+        """Attach a defect map; searches then sense the faulty hardware.
 
         Faulty cells perturb the match-line discharge itself (their
         pull-down composition feeds the same RK4 integration healthy
         rows use), so faults manifest as wrong *sensed* decisions, not
-        output bit-flips.  An **empty** map is equivalent to no map:
-        the search path taken is the ordinary one, bit for bit.
+        output bit-flips.  Scalar and batch searches keep their usual
+        engines: a healthy row is a faulty row with an empty fault map,
+        so an **empty** map is equivalent to no map, bit for bit.
 
-        Memo rule: attaching (and any later mutation of the attached
-        map, detected through :attr:`FaultMap.version`) clears the
-        retention-class memo, so stale fault trajectories are
-        structurally impossible.  Nominal classes come from the compiled
-        tables, which faults never change.
+        Attaching (and any later mutation of the attached map, detected
+        through :attr:`FaultMap.version`) moves the content version, so
+        the next batch rebuilds its fault-aware SoA planes.  Fault-shaped
+        sensing classes are memoized by their full physics signature
+        (see :meth:`~repro.kernels.KernelEngine.signature_results`),
+        which no map change can make stale.
 
         Args:
             faults: The defect map (array-shaped), or ``None`` to detach.
@@ -632,11 +633,10 @@ class TCAMArray:
         else:
             self._faults_seen_version = faults.version
             self._faults_empty = faults.is_empty()
-        self._retention_memo.clear()
         self._content_version += 1
 
     def detach_faults(self) -> None:
-        """Remove the attached defect map (clears the retention memo)."""
+        """Remove the attached defect map."""
         self.attach_faults(None)
 
     @property
@@ -648,14 +648,13 @@ class TCAMArray:
         """True when a non-empty fault map must shape the next search.
 
         Re-inspects the attached map when its version counter moved
-        (in-place mutation after attach) and clears the retention memo
+        (in-place mutation after attach) and moves the content version
         once per such change.
         """
         fm = self._faults
         if fm is None:
             return False
         if fm.version != self._faults_seen_version:
-            self._retention_memo.clear()
             self._content_version += 1
             self._faults_seen_version = fm.version
             self._faults_empty = fm.is_empty()
@@ -663,205 +662,38 @@ class TCAMArray:
 
     def _fault_row_composition(
         self, key_arr: np.ndarray, driven: np.ndarray, eff_stored: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell pull-down / weakened-pull-down masks under faults.
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Per-cell pull-down / weakened-pull-down masks of one key.
 
         A cell pulls its match line down when it (a) mismatches on the
         hardware's effective content and its pull-down path is intact
         (not ``STUCK_MATCH``), or (b) is ``STUCK_MISS`` and its column
         is driven.  ``RETENTION`` pull-downs conduct through a shifted
-        threshold (the ``weak`` mask).
+        threshold (the ``weak`` mask; ``None`` on healthy hardware).
         """
-        kind = self._faults.kind
         x = int(Trit.X)
         mism = (
             driven[np.newaxis, :]
             & (eff_stored != x)
             & (eff_stored != key_arr[np.newaxis, :])
         )
+        if self._faults_empty:
+            return mism, None
+        kind = self._faults.kind
         pulldown = (mism & (kind != int(FaultKind.STUCK_MATCH))) | (
             (kind == int(FaultKind.STUCK_MISS)) & driven[np.newaxis, :]
         )
         weak = pulldown & (kind == int(FaultKind.RETENTION))
         return pulldown, weak
 
-    def _fault_precharge_results(
-        self, sigs: set[tuple]
-    ) -> dict[tuple, _PrechargeClassResult]:
-        """Sensing results of the retention-degraded fault classes.
-
-        One signature ``(n_strong, weak_offsets, n_leak)`` covers every
-        row sharing that pull-down composition; all missing signatures
-        integrate in one stacked RK4 pass (same 65-point grid as the
-        nominal classes) and land in the retention memo, which lives as
-        long as the fault-map version does.
-        """
-        memo = self._retention_memo
-        results = {sig: memo[sig] for sig in sigs if sig in memo}
-        missing = [sig for sig in sigs if sig not in memo]
-        if not missing:
-            return results
-        v_pre = self.precharge.target_voltage()
-
-        i_pulldown = self.cell.i_pulldown
-        i_leak = self.cell.i_leak
-
-        def currents(v: np.ndarray) -> np.ndarray:
-            stacked = np.empty(len(missing))
-            for k, (n_strong, offsets, n_leak) in enumerate(missing):
-                v_k = float(v[k])
-                total = 0.0
-                if n_strong:
-                    total += n_strong * i_pulldown(v_k)
-                for dvt in offsets:
-                    total += i_pulldown(v_k, dvt)
-                if n_leak:
-                    total += n_leak * i_leak(v_k)
-                stacked[k] = total
-            return stacked
-
-        with obs.span("array.integrate_faulty", n_classes=len(missing)):
-            grid = np.linspace(0.0, self.t_eval, 65)
-            v_ends = discharge_waveform_batch(
-                self.c_ml, currents, np.full(len(missing), v_pre), grid
-            )
-        for sig, v_end in zip(missing, v_ends):
-            result = self._precharge_class_from_v_end(float(v_end))
-            memo[sig] = result
-            results[sig] = result
-        return results
-
-    def _search_impl_faulty(self, key: TernaryWord, active: np.ndarray) -> SearchOutcome:
-        """One search with the attached (non-empty) fault map injected.
-
-        Healthy-composition rows reuse the nominal per-class machinery
-        (a row with ``n`` intact pull-downs is electrically a nominal
-        ``n``-mismatch row); retention-degraded rows integrate their own
-        composite-current classes; per-row SA offsets shift the strobe;
-        dead rows drop out of sensing entirely (no precharge, no energy,
-        no match).  The logical oracle for ``functional_errors`` is the
-        *intended* content -- so every divergence a fault causes is
-        counted, including writes a ``STUCK_TRIT`` cell swallowed.
-        """
-        fm = self._faults
-        key_arr = key.as_array()
-        x = int(Trit.X)
-        driven = key_arr != x
-        driven_cols = int(np.count_nonzero(driven))
-        eff_stored = fm.effective_stored(self._stored)
-        pulldown, weak = self._fault_row_composition(key_arr, driven, eff_stored)
-        n_pull = pulldown.sum(axis=1)
-        n_weak = weak.sum(axis=1)
-        sensed = active & ~fm.dead_rows
-
-        ledger = EnergyLedger()
-        self._book_searchline_energy(ledger, key)
-
-        rows = self.geometry.rows
-        physical = np.zeros(rows, dtype=bool)
-
-        # Fault-class signature of every retention-degraded sensed row.
-        weak_sigs: dict[int, tuple] = {}
-        for r in np.flatnonzero(sensed & (n_weak > 0)):
-            r = int(r)
-            offsets = tuple(sorted(float(v) for v in fm.value[r][weak[r]]))
-            weak_sigs[r] = (
-                int(n_pull[r] - n_weak[r]),
-                offsets,
-                int(driven_cols - n_pull[r]),
-            )
-
-        any_sensed = bool(np.any(sensed))
-        if self.sensing == "precharge":
-            nominal = np.unique(n_pull[sensed & (n_weak == 0)])
-            class_results = self._class_results(nominal, driven_cols)
-            sig_results = self._fault_precharge_results(set(weak_sigs.values()))
-            t_sa_max = 0.0
-            t_restore_max = 0.0
-            if any_sensed:
-                for r in np.flatnonzero(sensed):
-                    r = int(r)
-                    res = (
-                        sig_results[weak_sigs[r]]
-                        if r in weak_sigs
-                        else class_results[int(n_pull[r])]
-                    )
-                    offset = float(fm.sa_offset[r])
-                    if offset == 0.0:
-                        physical[r] = res.is_match
-                        t_sa = res.t_sense
-                        e_sense = res.e_sense
-                    else:
-                        decision = self.estimator.sense(res.v_end, offset)
-                        physical[r] = decision.is_match
-                        t_sa = decision.delay
-                        e_sense = decision.energy
-                    ledger.add(EnergyComponent.ML_PRECHARGE, res.e_restore)
-                    ledger.add(EnergyComponent.ML_DISSIPATION, res.e_diss)
-                    ledger.add(EnergyComponent.SENSE_AMP, e_sense)
-                    t_sa_max = max(t_sa_max, t_sa)
-                    t_restore_max = max(t_restore_max, res.t_restore)
-                t_sense = self.t_eval + t_sa_max
-                t_cycle = t_sense + t_restore_max
-            else:
-                t_sense = self.t_eval
-                t_cycle = self.t_eval
-        else:
-            if any_sensed:
-                v_trip = self.race_amp.v_trip
-                i_pd0 = self.cell.i_pulldown(v_trip)
-                i_lk0 = self.cell.i_leak(v_trip)
-                for r in np.flatnonzero(sensed):
-                    r = int(r)
-                    n_strong = int(n_pull[r] - n_weak[r])
-                    i_total = n_strong * i_pd0 + (driven_cols - int(n_pull[r])) * i_lk0
-                    if n_weak[r]:
-                        for dvt in fm.value[r][weak[r]]:
-                            i_total += self.cell.i_pulldown(v_trip, float(dvt))
-                    offset = float(fm.sa_offset[r])
-                    decision = self.estimator.race(i_total, offset)
-                    physical[r] = decision.is_match
-                    ledger.add(EnergyComponent.RACE_SOURCE, decision.energy)
-                cutoff = self.race_amp.cutoff_time(self.c_ml)
-                t_sense = cutoff
-                t_cycle = 1.2 * cutoff
-            else:
-                t_sense = self.race_amp.t_window
-                t_cycle = self.race_amp.t_window
-
-        ledger.add(EnergyComponent.PRIORITY_ENCODER, self.estimator.encode_energy())
-        effective = physical & self._valid
-        first = self.encoder.encode(effective)
-
-        search_delay = self.sl_settle_delay + t_sense + self.encoder.delay
-        cycle_time = self.sl_settle_delay + t_cycle
-
-        leak = self.estimator.leakage_power(self.vdd) * cycle_time
-        ledger.add(EnergyComponent.LEAKAGE, leak)
-
-        # Histogram over the hardware's effective content; the error
-        # oracle over the intended content and the caller's full mask
-        # (a matching word on a dead row is a functional error).
-        miss_eff = mismatch_counts(eff_stored, key_arr)
-        unique, inverse = np.unique(miss_eff, return_inverse=True)
-        counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-        histogram = {int(n): int(c) for n, c in zip(unique, counts_valid) if c}
-        logical_match = (
-            (mismatch_counts(self._stored, key_arr) == 0) & self._valid & active
-        )
-        errors = int(np.count_nonzero(effective != logical_match))
+    def _book_fault_metrics(self, outcomes: Sequence[SearchOutcome]) -> None:
+        """Count fault-injected searches and the functional errors seen."""
         m = obs.metrics()
-        if m is not None:
-            m.counter("faults.searches").inc()
-            m.counter("faults.functional_errors").inc(errors)
-        return SearchOutcome(
-            match_mask=effective,
-            first_match=first,
-            energy=ledger,
-            search_delay=search_delay,
-            cycle_time=cycle_time,
-            miss_histogram=histogram,
-            functional_errors=errors,
+        if m is None or self._faults_empty:
+            return
+        m.counter("faults.searches").inc(len(outcomes))
+        m.counter("faults.functional_errors").inc(
+            sum(o.functional_errors for o in outcomes)
         )
 
     # ------------------------------------------------------------------
@@ -872,7 +704,7 @@ class TCAMArray:
         """Execute one search and account its energy and timing.
 
         This is the golden reference every batch path is tested against:
-        each mismatch class is integrated by RK4 on the spot.  When an
+        each sensing class is integrated by RK4 on the spot.  When an
         observability session is active, the search is traced as an
         ``array.search`` span whose per-phase children carry exact
         slices of the returned ledger (see :data:`_SPAN_ENERGY_GROUPS`).
@@ -890,7 +722,7 @@ class TCAMArray:
             cols=self.geometry.cols,
             sensing=self.sensing,
         ) as sp:
-            self._book_path("faulty" if self._fault_injection_active() else "scalar")
+            self._book_path("scalar")
             outcome = self._search_impl(key, row_mask)
             if sp is not None:
                 self._book_search_span(sp, outcome, n_searches=1)
@@ -915,38 +747,71 @@ class TCAMArray:
                 f"key width {len(key)} does not match array cols {self.geometry.cols}"
             )
         active = self._active_mask(row_mask)
-        if self._fault_injection_active():
-            return self._search_impl_faulty(key, active)
-        key_arr = key.as_array()
-        driven_cols = int(np.count_nonzero(key_arr != int(Trit.X)))
-        miss = mismatch_counts(self._stored, key_arr)
         ledger = EnergyLedger()
         self._book_searchline_energy(ledger, key)
-        return self._search_key(ledger, miss, driven_cols, active)
+        outcome = self._search_key(ledger, key.as_array(), active)
+        self._book_fault_metrics([outcome])
+        return outcome
 
     def _search_key(
-        self, ledger: EnergyLedger, miss: np.ndarray, driven_cols: int, active: np.ndarray
+        self, ledger: EnergyLedger, key_arr: np.ndarray, active: np.ndarray
     ) -> SearchOutcome:
         """Reference search body for one key whose SL energy is booked.
 
-        Every active mismatch class is integrated directly by RK4 (no
-        memo).  Shared by the scalar :meth:`search` and the kernel's
+        A sensed row's sensing class is its pull-down signature
+        ``(n_strong, weak_offsets, n_leak)`` -- intact conducting
+        pull-downs, the sorted Vt shifts of the conducting retention-
+        weakened ones, and leaking driven cells -- plus its SA offset, a
+        threshold shift applied to the sensed endpoint.  A healthy row is
+        ``(n_miss, (), driven - n_miss)`` at offset 0.  Dead rows are not
+        sensed.  Every group is integrated directly (one stacked RK4
+        pass, no memo) from broadcast compares, independent of the SoA
+        planes.  Shared by the scalar :meth:`search` and the kernel's
         per-key fallback for keys beyond a pinned engine grid.
         """
-        # One np.unique covers both the sensing class grouping (over the
-        # active rows) and the miss histogram (over the valid rows).
-        unique, inverse = np.unique(miss, return_inverse=True)
-        counts_active = np.bincount(inverse[active], minlength=unique.size)
-        counts_valid = np.bincount(inverse[self._valid], minlength=unique.size)
-        compute = self._precharge_class if self.sensing == "precharge" else self._race_class
-        class_results = {
-            int(n): compute(int(n), driven_cols)
-            for n, c in zip(unique, counts_active)
-            if c
+        fm = self._faults if self._fault_injection_active() else None
+        driven = key_arr != int(Trit.X)
+        driven_cols = int(np.count_nonzero(driven))
+        eff = self._stored if fm is None else fm.effective_stored(self._stored)
+        pulldown, weak = self._fault_row_composition(key_arr, driven, eff)
+        n_pull = pulldown.sum(axis=1)
+        nominal = active if fm is None else active & ~fm.dead_rows
+        exceptional: dict[int, tuple] = {}
+        if fm is not None:
+            # A conducting weak pull-down or a biased SA takes the row off
+            # the nominal class of its pull-down count.
+            n_weak = weak.sum(axis=1)
+            exc = nominal & ((n_weak > 0) | (fm.sa_offset != 0.0))
+            nominal = nominal & ~exc
+            for r in np.flatnonzero(exc).tolist():
+                exceptional[r] = (
+                    int(n_pull[r] - n_weak[r]),
+                    tuple(sorted(fm.value[r][weak[r]].tolist())),
+                    driven_cols - int(n_pull[r]),
+                    float(fm.sa_offset[r]),
+                )
+        classes, counts = np.unique(n_pull[nominal], return_counts=True)
+        groups = {
+            (n, (), driven_cols - n, 0.0): c
+            for n, c in zip(classes.tolist(), counts.tolist())
         }
-        return self._assemble_outcome(
-            ledger, miss, active, unique, counts_active, counts_valid, class_results
-        )
+        for sig in exceptional.values():
+            groups[sig] = groups.get(sig, 0) + 1
+        sigs = sorted(groups)
+        results = dict(zip(sigs, self._signature_results(sigs)))
+
+        physical = np.zeros(self.geometry.rows, dtype=bool)
+        for n in classes.tolist():
+            physical[nominal & (n_pull == n)] = results[(n, (), driven_cols - n, 0.0)].is_match
+        for r, sig in exceptional.items():
+            physical[r] = results[sig].is_match
+        if fm is None:
+            miss = miss_eff = n_pull
+        else:
+            miss = mismatch_counts(self._stored, key_arr)
+            miss_eff = mismatch_counts(eff, key_arr)
+        booked = [(groups[s], results[s]) for s in sigs]
+        return self._assemble_outcome(ledger, physical, booked, miss, miss_eff, active)
 
     def search_batch(
         self,
@@ -959,10 +824,10 @@ class TCAMArray:
         :meth:`search` once per key would (including the sequential
         search-line toggle semantics: the first key toggles against the
         array's current drive state and each subsequent key against its
-        predecessor), but mismatch counts come from one SoA matmul and
-        every per-class sensing quantity from the compiled tables (see
-        :meth:`_search_batch_kernel`).  A non-empty fault map sends the
-        batch through the per-key reference loop instead.
+        predecessor), but every count comes from one SoA matmul and
+        every per-class sensing quantity from the compiled tables or the
+        engine's signature memo (see :meth:`_search_batch_kernel`).  An
+        attached fault map changes neither the engine nor the guarantee.
 
         Args:
             keys: Search keys, all of the array's width.
@@ -986,18 +851,12 @@ class TCAMArray:
         keys: list[TernaryWord],
         row_mask: np.ndarray | None = None,
     ) -> list[SearchOutcome]:
-        if self._fault_injection_active():
-            # Per-row faults break the per-class grouping the kernel is
-            # built around, so a faulty batch is the per-key reference
-            # loop (which preserves the sequential SL-toggle semantics).
-            # Campaigns parallelize across trials instead -- see
-            # :mod:`repro.analysis.faultcampaign`.
-            self._book_path("faulty")
-            return [self._search_impl(key, row_mask) for key in keys]
         packed = self._pack_batch(keys)
         active = self._active_mask(row_mask)
         self._book_path("kernel")
-        return self._search_batch_kernel(packed, active)
+        outcomes = self._search_batch_kernel(packed, active)
+        self._book_fault_metrics(outcomes)
+        return outcomes
 
     # -- observability booking -------------------------------------------------
 
@@ -1028,7 +887,7 @@ class TCAMArray:
     @staticmethod
     def _book_path(path: str, n: int = 1) -> None:
         """Count under ``tcam.path.<path>``: one per array call for the
-        ``kernel`` / ``faulty`` / ``scalar`` paths, one per out-of-grid
+        ``kernel`` (every batch) / ``scalar`` paths, one per out-of-grid
         key for ``rk4_fallback``."""
         m = obs.metrics()
         if m is not None:
@@ -1114,30 +973,14 @@ class TCAMArray:
         grid is integrated by the RK4 reference instead.
         """
         eng = self.kernel
-        precharge = self.sensing == "precharge"
+        classes = [int(n) for n in classes]
         if not eng.in_grid(driven):
-            compute = self._precharge_class if precharge else self._race_class
-            return {int(n): compute(int(n), driven) for n in classes}
+            signatures = [(n, (), driven - n, 0.0) for n in classes]
+            return dict(zip(classes, self._signature_results(signatures)))
         row = eng.row(driven)
-        if precharge:
-            return {
-                int(n): _PrechargeClassResult(
-                    v_end=float(row.v_end[n]),
-                    is_match=bool(row.is_match[n]),
-                    e_restore=float(row.e_restore[n]),
-                    e_diss=float(row.e_diss[n]),
-                    e_sense=float(row.e_sense[n]),
-                    t_sense=float(row.t_sense[n]),
-                    t_restore=float(row.t_restore[n]),
-                )
-                for n in classes
-            }
+        result = _PrechargeClassResult if self.sensing == "precharge" else _RaceClassResult
         return {
-            int(n): _RaceClassResult(
-                is_match=bool(row.is_match[n]),
-                energy=float(row.energy[n]),
-                delay=float(row.delay[n]),
-            )
+            n: result(**{f: getattr(row, f)[n].item() for f in result.__dataclass_fields__})
             for n in classes
         }
 
@@ -1146,29 +989,36 @@ class TCAMArray:
     ) -> list[SearchOutcome]:
         """Kernel body of :meth:`_search_batch_impl`: fused numpy assembly.
 
-        Mismatch counts come from the SoA matmul (exact integer float32
-        accumulation), per-(key, class) row counts from one offset
-        bincount per row subset, and per-class sensing quantities from
-        the compiled tables by fancy indexing.  Per-key ledger sums use
-        ``np.add.reduceat`` / ``np.maximum.reduceat``, whose strictly
-        left-to-right in-segment accumulation reproduces the scalar
-        per-class ``ledger.add`` loop bit for bit (classes appear in
-        ascending ``n_miss`` order in both).  Keys driving more columns
-        than a pinned grid take the reference body :meth:`_search_key`.
+        The SoA matmuls (exact integer float32 accumulation) yield, per
+        ``(key, row)``, the mismatches on the written and on the
+        effective content, the conducting pull-downs and their
+        retention-weakened subset.  A sensed pair is *nominal* when no
+        weak pull-down conducts and its SA is unbiased: its class is its
+        pull-down count, gathered from the compiled row of the key's
+        ``driven``.  The other, *exceptional* pairs read the engine's
+        signature memo.  Per key, the groups are ordered as the reference
+        books them (ascending signature -- ascending ``n_miss`` on
+        healthy hardware) and summed with ``sequential_segment_sum``,
+        whose strictly left-to-right accumulation reproduces the
+        reference ``ledger.add`` loop bit for bit.  Keys driving more
+        columns than a pinned grid take the reference body
+        :meth:`_search_key`.
         """
         eng = self.kernel
+        fm = self._faults if self._fault_injection_active() else None
         soa = self._soa_state()
         rows, cols = self.geometry.rows, self.geometry.cols
         n_keys = packed.shape[0]
+        precharge = self.sensing == "precharge"
         with obs.span(
             "array.kernel_batch", n_keys=n_keys, sensing=self.sensing
         ) as sp:
-            miss_all = soa.mismatch_counts(packed)
+            intended, effective, pull, weak = soa.search_counts(packed)
             driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
             toggles = self._batch_toggles(packed)
             e_toggle = self.estimator.sl_toggle_energy()
             outcomes: list[SearchOutcome | None] = [None] * n_keys
-            any_active = bool(np.any(active))
+            sensed = active if fm is None else active & ~soa.faults.dead
             sl_delay = self.sl_settle_delay
             enc_energy = self.estimator.encode_energy()
             enc_delay = self.encoder.delay
@@ -1176,97 +1026,138 @@ class TCAMArray:
             # ``* cycle_time`` factor (left-associative, so the prefix
             # product is a common subexpression).
             k_leak = self.estimator.leakage_power(self.vdd)
+            av = active & self._valid
+            sv = sensed & self._valid
 
-            # Dense per-(key, class) row counts over the active and valid
-            # row subsets: one offset bincount each.
+            # Dense per-(key, class) row counts: nominal sensed pairs by
+            # pull-down count, valid rows by effective mismatch count.
             n_classes = cols + 1
-            offsets = miss_all + (np.arange(n_keys) * n_classes)[:, np.newaxis]
-            counts_active = np.bincount(
-                offsets[:, active].ravel(), minlength=n_keys * n_classes
-            ).reshape(n_keys, n_classes)
+            base = (np.arange(n_keys) * n_classes)[:, np.newaxis]
+            off_eff = effective + base
+            off_pull = off_eff if pull is effective else pull + base
             counts_valid = np.bincount(
-                offsets[:, self._valid].ravel(), minlength=n_keys * n_classes
+                off_eff[:, self._valid].ravel(), minlength=n_keys * n_classes
             ).reshape(n_keys, n_classes)
 
-            if not any_active:
-                # No row is sensed: only SL, encoder and leakage book.
-                if self.sensing == "precharge":
-                    t_sense = t_cycle = self.t_eval
-                else:
-                    t_sense = t_cycle = self.race_amp.t_window
-                search_delay = sl_delay + t_sense + enc_delay
-                cycle_time = sl_delay + t_cycle
-                leak = k_leak * cycle_time
-                for k in range(n_keys):
-                    ledger = EnergyLedger()
-                    ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                    ledger.add(EnergyComponent.PRIORITY_ENCODER, enc_energy)
-                    ledger.add(EnergyComponent.LEAKAGE, leak)
-                    nz = np.flatnonzero(counts_valid[k])
-                    outcomes[k] = SearchOutcome(
-                        match_mask=np.zeros(rows, dtype=bool),
-                        first_match=None,
-                        energy=ledger,
-                        search_delay=search_delay,
-                        cycle_time=cycle_time,
-                        miss_histogram={
-                            int(n): int(counts_valid[k, n]) for n in nz
-                        },
-                        functional_errors=0,
-                    )
-                return outcomes
+            # Exceptional pairs, their signatures and signature ids.
+            exc_k = exc_r = exc_id = np.empty(0, dtype=np.intp)
+            exc_sigs: list[tuple] = []
+            if fm is None:
+                nominal_pulls = off_pull[:, sensed].ravel()
+            else:
+                sa = soa.faults.sa_offset
+                exc = sensed & ((weak > 0) | (sa != 0.0))
+                exc_k, exc_r = np.nonzero(exc)
+                nominal_pulls = off_pull[sensed & ~exc]
+                ids: dict[tuple, int] = {}
+                exc_id = np.array(
+                    [
+                        ids.setdefault((p - w, o, d - p, s), len(ids))
+                        for p, w, o, d, s in zip(
+                            pull[exc_k, exc_r].tolist(),
+                            weak[exc_k, exc_r].tolist(),
+                            soa.weak_offsets(packed, exc_k, exc_r),
+                            driven_all[exc_k].tolist(),
+                            sa[exc_r].tolist(),
+                        )
+                    ],
+                    dtype=np.intp,
+                )
+                exc_sigs = list(ids)
+            counts_nom = np.bincount(
+                nominal_pulls, minlength=n_keys * n_classes
+            ).reshape(n_keys, n_classes)
 
-            # Out-of-grid keys: reference path, booked as RK4 fallbacks.
+            # Out-of-grid keys take the reference body, booked as RK4
+            # fallbacks; so does every key when no row is sensed (nothing
+            # to integrate, only SL, encoder and leakage book).
             in_grid = driven_all <= eng.max_driven
+            if not in_grid.all():
+                self._book_path("rk4_fallback", int(np.count_nonzero(~in_grid)))
+            if not sensed.any():
+                in_grid[:] = False
             fallback_idx = np.flatnonzero(~in_grid)
-            for k in fallback_idx:
-                k = int(k)
+            if fallback_idx.size:
+                n_groups = np.count_nonzero(counts_nom, axis=1)
+                if exc_sigs:
+                    width = len(exc_sigs)
+                    n_groups += np.bincount(
+                        np.unique(exc_k * width + exc_id) // width, minlength=n_keys
+                    )
+            for k in fallback_idx.tolist():
                 ledger = EnergyLedger()
                 ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                outcomes[k] = self._search_key(
-                    ledger, miss_all[k], int(driven_all[k]), active
-                )
-                eng.rk4_fallbacks += int(np.count_nonzero(counts_active[k]))
-            if fallback_idx.size:
-                self._book_path("rk4_fallback", int(fallback_idx.size))
+                outcomes[k] = self._search_key(ledger, packed[k], active)
+                eng.rk4_fallbacks += int(n_groups[k])
 
             from ..kernels import sequential_segment_sum
 
+            fields = ("e_restore", "e_diss", "e_sense", "t_sense", "t_restore")
+            fields = fields if precharge else ("energy",)
             idx = np.flatnonzero(in_grid)
-            av = active & self._valid
-            for d in np.unique(driven_all[idx]):
+            for d in np.unique(driven_all[idx]).tolist():
                 grp = idx[driven_all[idx] == d]
-                row = eng.row(int(d))
-                ca = counts_active[grp]
-                kk, nn = np.nonzero(ca)  # row-major: per key, ascending class
+                row = eng.row(d)
+                ca = counts_nom[grp]
+                kk, cls = np.nonzero(ca)  # row-major: per key, ascending class
+                cnt = ca[kk, cls]
+                tab = {name: getattr(row, name) for name in fields}
+                phys = row.is_match[pull[grp]]
+                sel = np.flatnonzero(driven_all[exc_k] == d)
+                if sel.size:
+                    # Append the group's exceptional classes behind the
+                    # compiled ones and re-sort every key's groups into
+                    # canonical signature order.
+                    uniq, inv = np.unique(exc_id[sel], return_inverse=True)
+                    sigs = [exc_sigs[i] for i in uniq.tolist()]
+                    results = eng.signature_results(sigs)
+                    width = d + 1 + len(sigs)
+                    all_sigs = [(n, (), d - n, 0.0) for n in range(d + 1)] + sigs
+                    rank = np.empty(width, dtype=np.intp)
+                    rank[sorted(range(width), key=all_sigs.__getitem__)] = np.arange(width)
+                    local = np.searchsorted(grp, exc_k[sel])
+                    codes, ecnt = np.unique(
+                        local * width + (d + 1) + inv, return_counts=True
+                    )
+                    kk = np.concatenate([kk, codes // width])
+                    cls = np.concatenate([cls, codes % width])
+                    cnt = np.concatenate([cnt, ecnt])
+                    order = np.argsort(kk * width + rank[cls])
+                    kk, cls, cnt = kk[order], cls[order], cnt[order]
+                    tab = {
+                        name: np.concatenate([t, [getattr(r, name) for r in results]])
+                        for name, t in tab.items()
+                    }
+                    phys[local, exc_r[sel]] = np.array(
+                        [r.is_match for r in results], dtype=bool
+                    )[inv]
                 eng.table_hits += int(kk.size)
-                cnt = ca[kk, nn].astype(np.float64)
+                cnt = cnt.astype(np.float64)
                 bounds = np.searchsorted(kk, np.arange(grp.size + 1))
                 seg, seg_ends = bounds[:-1], bounds[1:]
-                if self.sensing == "precharge":
-                    e_pre = sequential_segment_sum(cnt * row.e_restore[nn], seg, seg_ends)
-                    e_diss = sequential_segment_sum(cnt * row.e_diss[nn], seg, seg_ends)
-                    e_sa = sequential_segment_sum(cnt * row.e_sense[nn], seg, seg_ends)
+                if precharge:
+                    e_pre = sequential_segment_sum(cnt * tab["e_restore"][cls], seg, seg_ends)
+                    e_diss = sequential_segment_sum(cnt * tab["e_diss"][cls], seg, seg_ends)
+                    e_sa = sequential_segment_sum(cnt * tab["e_sense"][cls], seg, seg_ends)
                     # Max reductions are order-independent selections, so
                     # reduceat is exact here.
-                    t_sa = np.maximum.reduceat(row.t_sense[nn], seg)
-                    t_res = np.maximum.reduceat(row.t_restore[nn], seg)
+                    t_sa = np.maximum.reduceat(tab["t_sense"][cls], seg)
+                    t_res = np.maximum.reduceat(tab["t_restore"][cls], seg)
                     t_sense = self.t_eval + t_sa
                     t_cycle = t_sense + t_res
                     search_delay = sl_delay + t_sense + enc_delay
                     cycle_time = sl_delay + t_cycle
                     leak = k_leak * cycle_time
                 else:
-                    e_race = sequential_segment_sum(cnt * row.energy[nn], seg, seg_ends)
+                    e_race = sequential_segment_sum(cnt * tab["energy"][cls], seg, seg_ends)
                     cutoff = self.race_amp.cutoff_time(self.c_ml)
                     t_cycle_s = 1.2 * cutoff
                     search_delay_s = sl_delay + cutoff + enc_delay
                     cycle_time_s = sl_delay + t_cycle_s
                     leak_s = k_leak * cycle_time_s
 
-                miss_grp = miss_all[grp]
-                eff = row.is_match[miss_grp] & av[np.newaxis, :]
-                logical = (miss_grp == 0) & av[np.newaxis, :]
+                eff = phys & sv[np.newaxis, :]
+                logical = (intended[grp] == 0) & av[np.newaxis, :]
                 errors = np.count_nonzero(eff != logical, axis=1)
                 has_match = eff.any(axis=1)
                 firsts = np.argmax(eff, axis=1)
@@ -1276,11 +1167,10 @@ class TCAMArray:
                 cvals = cv[kv, nv]
                 hist_bounds = np.searchsorted(kv, np.arange(grp.size + 1))
 
-                for i, k in enumerate(grp):
-                    k = int(k)
+                for i, k in enumerate(grp.tolist()):
                     ledger = EnergyLedger()
                     ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                    if self.sensing == "precharge":
+                    if precharge:
                         ledger.add(EnergyComponent.ML_PRECHARGE, float(e_pre[i]))
                         ledger.add(EnergyComponent.ML_DISSIPATION, float(e_diss[i]))
                         ledger.add(EnergyComponent.SENSE_AMP, float(e_sa[i]))
@@ -1307,6 +1197,7 @@ class TCAMArray:
             if sp is not None:
                 sp.annotate(
                     fallback_keys=int(fallback_idx.size),
+                    exceptional_pairs=int(exc_k.size),
                     rows_built=eng.rows_built,
                 )
             return outcomes
@@ -1344,23 +1235,27 @@ class TCAMArray:
 
     # -- per-mismatch-class sensing results ----------------------------------
 
-    def _ml_voltages_after_eval(self, pairs: Sequence[tuple[int, int]]) -> list[float]:
-        """ML voltages at strobe time for several ``(n_miss, driven)`` classes.
+    def _ml_voltages_after_eval(self, signatures: Sequence[tuple]) -> list[float]:
+        """ML voltages at strobe time for several pull-down signatures.
 
-        All classes are integrated in one stacked RK4 pass (elementwise
-        identical to integrating each class alone), so the cost of the
-        Python-level step loop is shared across the whole class set.
+        A signature ``(n_strong, weak_offsets, n_leak)`` fixes the line's
+        composite current: ``n_strong`` intact pull-downs, one pull-down
+        per retention Vt shift in ``weak_offsets`` and ``n_leak`` leaking
+        matched cells (a healthy ``(n_miss, driven)`` class is
+        ``(n_miss, (), driven - n_miss)``).  All signatures are
+        integrated in one stacked RK4 pass (elementwise identical to
+        integrating each alone), so the cost of the Python-level step
+        loop is shared across the whole set.
         """
         v_pre = self.precharge.target_voltage()
-        out = [v_pre] * len(pairs)
-        loads: list[tuple[int, int, int]] = []  # (output index, n_miss, n_match)
-        for j, (n_miss, driven_cols) in enumerate(pairs):
-            n_match = driven_cols - n_miss
-            if n_miss < 0 or n_match < 0:
+        out = [v_pre] * len(signatures)
+        loads: list[tuple[int, int, tuple, int]] = []
+        for j, (n_strong, offsets, n_leak) in enumerate(signatures):
+            if n_strong < 0 or n_leak < 0:
                 raise TCAMError("inconsistent mismatch accounting")
-            if n_miss + n_match == 0:
+            if n_strong + len(offsets) + n_leak == 0:
                 continue  # fully masked key: nothing can discharge the line
-            loads.append((j, n_miss, n_match))
+            loads.append((j, n_strong, offsets, n_leak))
         if not loads:
             return out
 
@@ -1369,13 +1264,15 @@ class TCAMArray:
 
         def currents(v: np.ndarray) -> np.ndarray:
             stacked = np.empty(len(loads))
-            for k, (_, n_miss, n_match) in enumerate(loads):
+            for k, (_, n_strong, offsets, n_leak) in enumerate(loads):
                 v_k = float(v[k])
                 total = 0.0
-                if n_miss:
-                    total += n_miss * i_pulldown(v_k)
-                if n_match:
-                    total += n_match * i_leak(v_k)
+                if n_strong:
+                    total += n_strong * i_pulldown(v_k)
+                for dvt in offsets:
+                    total += i_pulldown(v_k, dvt)
+                if n_leak:
+                    total += n_leak * i_leak(v_k)
                 stacked[k] = total
             return stacked
 
@@ -1383,7 +1280,7 @@ class TCAMArray:
         v_end = discharge_waveform_batch(
             self.c_ml, currents, np.full(len(loads), v_pre), grid
         )
-        for k, (j, _, _) in enumerate(loads):
+        for k, (j, _, _, _) in enumerate(loads):
             out[j] = float(v_end[k])
         return out
 
@@ -1391,15 +1288,39 @@ class TCAMArray:
         """Strobe-time ML voltage of one mismatch class (``v_pre`` must be
         the active precharge target; kept as an argument for call-site
         clarity in the characterization helpers)."""
-        return self._ml_voltages_after_eval([(n_miss, driven_cols)])[0]
+        return self._ml_voltages_after_eval([(n_miss, (), driven_cols - n_miss)])[0]
 
-    def _precharge_class(self, n_miss: int, driven_cols: int) -> _PrechargeClassResult:
-        """Full sensing result of one precharge-style mismatch class."""
-        v_end = self._ml_voltages_after_eval([(n_miss, driven_cols)])[0]
-        return self._precharge_class_from_v_end(v_end)
+    def _signature_results(
+        self, signatures: Sequence[tuple]
+    ) -> list[_PrechargeClassResult | _RaceClassResult]:
+        """Sensing results of ``(n_strong, weak_offsets, n_leak, sa_offset)``
+        classes, computed directly (no memo).
 
-    def _precharge_class_from_v_end(self, v_end: float) -> _PrechargeClassResult:
-        decision = self.estimator.sense(v_end)
+        The first three fields are the pull-down signature (see
+        :meth:`_ml_voltages_after_eval`); the SA offset shifts the
+        decision threshold applied to the sensed endpoint (precharge) or
+        to the race (current race).
+        """
+        if self.sensing == "precharge":
+            v_ends = self._ml_voltages_after_eval([s[:3] for s in signatures])
+            return [
+                self._precharge_class_from_v_end(v, s[3]) for v, s in zip(v_ends, signatures)
+            ]
+        v_trip = self.race_amp.v_trip
+        i_pd, i_lk = self.cell.i_pulldown(v_trip), self.cell.i_leak(v_trip)
+        out = []
+        for n_strong, offsets, n_leak, sa_offset in signatures:
+            i_total = n_strong * i_pd + n_leak * i_lk
+            for dvt in offsets:
+                i_total += self.cell.i_pulldown(v_trip, dvt)
+            decision = self.estimator.race(i_total, sa_offset)
+            out.append(_RaceClassResult(decision.is_match, decision.energy, decision.delay))
+        return out
+
+    def _precharge_class_from_v_end(
+        self, v_end: float, offset: float = 0.0
+    ) -> _PrechargeClassResult:
+        decision = self.estimator.sense(v_end, offset)
         e_restore = self.estimator.ml_precharge_energy(v_end)
         e_diss = self.estimator.ml_dissipation_energy(v_end)
         return _PrechargeClassResult(
@@ -1412,49 +1333,32 @@ class TCAMArray:
             t_restore=self.precharge.restore_time(self.c_ml, v_end),
         )
 
-    def _race_class(self, n_miss: int, driven_cols: int) -> _RaceClassResult:
-        """Sensing result of one current-race mismatch class."""
-        race = self.race_amp
-        v_trip = race.v_trip
-        n_match = driven_cols - int(n_miss)
-        i_total = int(n_miss) * self.cell.i_pulldown(v_trip) + n_match * self.cell.i_leak(
-            v_trip
-        )
-        decision = self.estimator.race(i_total)
-        return _RaceClassResult(
-            is_match=decision.is_match, energy=decision.energy, delay=decision.delay
-        )
-
     # -- outcome assembly ------------------------------------------------------
 
     def _assemble_outcome(
         self,
         ledger: EnergyLedger,
+        physical: np.ndarray,
+        booked: Sequence[tuple[int, _PrechargeClassResult | _RaceClassResult]],
         miss: np.ndarray,
+        miss_eff: np.ndarray,
         active: np.ndarray,
-        unique: np.ndarray,
-        counts_active: np.ndarray,
-        counts_valid: np.ndarray,
-        class_results: dict[int, _PrechargeClassResult | _RaceClassResult],
     ) -> SearchOutcome:
-        """Book per-class energies and build the outcome for one search.
+        """Book the sensed groups and build the outcome of one search.
 
-        The reference assembly behind :meth:`_search_key` (the scalar
-        search and the kernel's out-of-grid fallback).
+        The reference assembly behind :meth:`_search_key`.  ``booked``
+        holds ``(row_count, class_result)`` per sensing group in
+        canonical signature order (ascending ``n_miss`` on healthy
+        hardware); each group books ``count x value``.  The histogram
+        runs over the effective content ``miss_eff`` of the valid rows,
+        the error oracle over the intended content ``miss`` and the
+        caller's full mask (a matching word on a dead row is an error).
         """
-        rows = self.geometry.rows
-        physical = np.zeros(rows, dtype=bool)
-        any_active = bool(np.any(active))
-
         if self.sensing == "precharge":
             t_sa_max = 0.0
             t_restore_max = 0.0
-            if any_active:
-                for n, n_rows in zip(unique, counts_active):
-                    if not n_rows:
-                        continue
-                    r = class_results[int(n)]
-                    physical[active & (miss == n)] = r.is_match
+            if booked:
+                for n_rows, r in booked:
                     ledger.add(EnergyComponent.ML_PRECHARGE, float(n_rows) * r.e_restore)
                     ledger.add(EnergyComponent.ML_DISSIPATION, float(n_rows) * r.e_diss)
                     ledger.add(EnergyComponent.SENSE_AMP, float(n_rows) * r.e_sense)
@@ -1466,12 +1370,8 @@ class TCAMArray:
                 t_sense = self.t_eval
                 t_cycle = self.t_eval
         else:
-            if any_active:
-                for n, n_rows in zip(unique, counts_active):
-                    if not n_rows:
-                        continue
-                    r = class_results[int(n)]
-                    physical[active & (miss == n)] = r.is_match
+            if booked:
+                for n_rows, r in booked:
                     ledger.add(EnergyComponent.RACE_SOURCE, float(n_rows) * r.energy)
                 # Matched lines were charged to the trip point and reset to
                 # ground; the reset burns stored charge but draws nothing new.
@@ -1495,7 +1395,8 @@ class TCAMArray:
         ledger.add(EnergyComponent.LEAKAGE, leak)
 
         logical_match = (miss == 0) & self._valid & active
-        histogram = {int(n): int(c) for n, c in zip(unique, counts_valid) if c}
+        classes, counts = np.unique(miss_eff[self._valid], return_counts=True)
+        histogram = {int(n): int(c) for n, c in zip(classes, counts)}
         errors = int(np.count_nonzero(effective != logical_match))
         return SearchOutcome(
             match_mask=effective,

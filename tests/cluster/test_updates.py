@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -15,6 +18,7 @@ from repro.cluster import (
     synthesize_churn,
 )
 from repro.errors import ClusterError
+from repro.tcam.array import TCAMArray
 from repro.tcam.trit import prefix_word, random_word
 
 COLS = 16
@@ -233,6 +237,51 @@ class TestWearAndRepair:
         report = age_and_repair(fabric, density=0.1, seed=4, mode="wear")
         assert report.faults_injected > 0
         assert report.energy.total >= 0.0
+
+    def test_worn_fabric_batch_equals_scalar_rebuild(self, rng, monkeypatch):
+        """After wear, fabric batches (on the compiled kernel) equal a
+        rebuild from per-bank scalar ``search()`` calls: winners from an
+        explicit shard merge, ledgers from the same fabric with every
+        bank batch replaced by a scalar loop."""
+        table = _table(rng, n=24)
+        fabric = _fabric(table, n_chips=2, spare_rows=3, headroom=6, policy="range")
+        engine = UpdateEngine(fabric)
+        for _ in range(4):
+            engine.apply(bulk_signature_push([random_word(COLS, rng)]))
+        report = age_and_repair(fabric, density=0.08, seed=5, mode="wear")
+        assert report.faults_injected > 0
+        reference, rebuilt = copy.deepcopy(fabric), copy.deepcopy(fabric)
+        batches = [
+            [random_word(COLS, rng, x_fraction=0.1) for _ in range(12)]
+            for _ in range(3)
+        ]
+        # Rule words hit the classes the faults disturb.
+        batches.append(list(fabric.rule_words.values())[:12])
+        got = [fabric.search_batch(keys) for keys in batches]
+
+        rows = reference.bank_rows
+        for keys, outcomes in zip(batches, got):
+            for key, out in zip(keys, outcomes):
+                best = None
+                for s in reference.distributor.probe_shards(key, reference.placement):
+                    chip = reference.chips[s]
+                    for b in reference.occupied_banks(s):
+                        mask = chip.banks[b].search(key).match_mask
+                        gids = reference.row_rule[s][b * rows + np.flatnonzero(mask)]
+                        gids = gids[gids >= 0]
+                        if gids.size and (best is None or int(gids.min()) < best):
+                            best = int(gids.min())
+                assert out.rule == best
+
+        def scalar_loop(array, keys, row_mask=None):
+            return [array.search(k, row_mask) for k in keys]
+
+        monkeypatch.setattr(TCAMArray, "search_batch", scalar_loop)
+        for keys, outcomes in zip(batches, got):
+            for a, b in zip(outcomes, rebuilt.search_batch(keys)):
+                assert (a.rule, a.matched_rules) == (b.rule, b.matched_rules)
+                assert (a.latency, a.cycle) == (b.latency, b.cycle)
+                assert list(a.energy) == list(b.energy)
 
     def test_density_validation(self, rng):
         fabric = _fabric(_table(rng), n_chips=1, spare_rows=1)

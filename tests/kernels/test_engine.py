@@ -65,7 +65,9 @@ class TestEngineRows:
                     assert row.t_restore[n_miss] == ref.t_restore
                 else:
                     assert isinstance(row, RaceClassRow)
-                    ref = array._race_class(n_miss, driven)
+                    ref = array._signature_results(
+                        [(n_miss, (), driven - n_miss, 0.0)]
+                    )[0]
                     assert bool(row.is_match[n_miss]) == ref.is_match
                     assert row.energy[n_miss] == ref.energy
                     assert row.delay[n_miss] == ref.delay

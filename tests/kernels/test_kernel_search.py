@@ -152,9 +152,9 @@ class TestKernelWithFaults:
         )
         assert kernel.kernel.table_hits > 0
 
-    def test_sa_offset_routes_to_reference_path(self):
-        """Per-row offsets break class grouping; outcomes must still match
-        the scalar fault-aware loop exactly."""
+    def test_sa_offset_runs_on_kernel(self):
+        """An offset SA takes its row off the nominal class; the batch
+        still runs on the kernel and matches the scalar loop exactly."""
         scalar, kernel = _loaded_pair("fefet2t")
         for a in (scalar, kernel):
             fm = FaultMap(16, 24)
@@ -165,9 +165,10 @@ class TestKernelWithFaults:
         _assert_outcomes_identical(
             [scalar.search(k) for k in keys], kernel.search_batch(keys)
         )
-        assert kernel.kernel.table_hits == before, "faulty batch must not use the kernel"
+        assert kernel.kernel.table_hits > before
+        assert kernel.kernel.rk4_fallbacks == 0
 
-    def test_cell_faults_route_to_reference_path(self):
+    def test_cell_faults_run_on_kernel(self):
         scalar, kernel = _loaded_pair("fefet2t")
         for a in (scalar, kernel):
             fm = FaultMap(16, 24)
@@ -221,9 +222,9 @@ class TestKernelMetrics:
             scalar.search_batch(keys[:2])
             scalar.search(keys[0])
             snapshot = session.metrics.snapshot()
-        assert snapshot["tcam.path.kernel"] == 2
-        assert snapshot["tcam.path.scalar"] == 1
-        assert snapshot["tcam.path.faulty"] == 2
+        assert snapshot["tcam.path.kernel"] == 3
+        assert snapshot["tcam.path.scalar"] == 2
+        assert "tcam.path.faulty" not in snapshot
         expected = int(np.count_nonzero(drivens > kernel.kernel.max_driven))
         expected += int(np.count_nonzero(drivens[:3] > kernel.kernel.max_driven))
         assert expected > 0

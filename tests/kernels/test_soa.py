@@ -35,9 +35,8 @@ class TestMismatchCounts:
 
     def test_planes_are_contiguous_float32(self):
         soa = SoAState.from_array(_loaded(), version=0)
-        for plane in (soa.plane0_t, soa.plane1_t):
-            assert plane.dtype == np.float32
-            assert plane.flags["C_CONTIGUOUS"]
+        assert soa.planes.dtype == np.float32
+        assert soa.planes.flags["C_CONTIGUOUS"]
 
     def test_shape_mismatch_raises(self):
         soa = SoAState.from_array(_loaded(cols=20), version=0)

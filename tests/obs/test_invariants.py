@@ -192,8 +192,9 @@ class TestMetricsAgreeWithInternals:
             faulty.search(keys[0])
             calls += 2
         snap = sess.metrics.snapshot()
-        paths = {p: snap.get(f"tcam.path.{p}", 0) for p in ("kernel", "faulty", "scalar")}
-        assert paths == {"kernel": 4, "faulty": 2, "scalar": 4}
+        paths = {p: snap.get(f"tcam.path.{p}", 0) for p in ("kernel", "scalar")}
+        assert paths == {"kernel": 5, "scalar": 5}
+        assert "tcam.path.faulty" not in snap
         assert sum(paths.values()) == calls
         assert "tcam.path.rk4_fallback" not in snap
 
