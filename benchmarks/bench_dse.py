@@ -2,13 +2,14 @@
 
 Crosses every registered cell technology (including the multi-bit
 ``seemcam`` and analog ``fecam`` cells) with geometry, segmentation,
-sensing style and supply voltage, evaluates each point on a common
+sensing style and supply voltage, evaluates each point on one shared
 random workload through the parallel sweep engine, and records the
-cloud plus its four-objective Pareto frontier to ``BENCH_dse.json``:
-minimize energy per stored bit, search delay and area per stored bit,
-maximize per-cell match accuracy.  All numbers are modeled and the
-workload streams are derived per point, so the record is
-bit-reproducible on any host at any worker count.
+cloud plus its six-objective Pareto frontier to ``BENCH_dse.json``:
+minimize energy per stored bit, search delay, area per stored bit and
+write energy/latency, maximize per-cell match accuracy.  All numbers
+are modeled and every point draws the same stored words and keys from
+one seeded stream, so the record is bit-reproducible on any host at
+any worker count.
 
 The gates ``--check`` asserts:
 

@@ -4,7 +4,8 @@ Shows the two analysis tools behind the paper's proposed designs:
 
 1. ``minimum_ml_voltage`` -- the lowest match-line swing that still meets
    a sense-margin guardband, i.e. where Design LV is allowed to operate.
-2. ``explore`` -- the energy/delay/margin Pareto front over all designs.
+2. ``run_dse`` over ``registry_space`` -- the energy/delay/margin Pareto
+   front over all designs.
 
 Run:
     python examples/design_exploration.py
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import ArrayGeometry, get_design, minimum_ml_voltage
-from repro.core.dse import explore
+from repro.analysis.dse import pareto_frontier, registry_space, run_dse
 from repro.core.ml_voltage import energy_vs_vml
 from repro.units import eng
 
@@ -41,18 +42,24 @@ def main() -> None:
 
     # --- Pareto front --------------------------------------------------------
     print("\nDesign-space exploration (energy vs delay vs margin):")
-    result = explore(GEO, ml_swings=(0.35, 0.45, 0.55, 0.7, 0.9), n_searches=4)
-    front_ids = {id(p) for p in result.front}
+    names, points = zip(*registry_space(GEO.rows, GEO.cols, (0.35, 0.45, 0.55, 0.7, 0.9)))
+    rows = run_dse(points, searches=4, seed=77).points
+    functional = [row for row in rows if row["functional_errors"] == 0]
+    front = pareto_frontier(
+        functional,
+        minimize=("energy_per_search", "search_delay"),
+        maximize=("margin",),
+    )
+    front_ids = {id(functional[i]) for i in front}
     print(f"{'design':14s} {'V_ML':>5s} {'E/search':>10s} {'delay':>9s} {'margin':>7s}  Pareto")
-    for point in result.points:
-        swing = f"{point.v_ml:.2f}" if point.v_ml is not None else "-"
-        star = "  *" if id(point) in front_ids else ""
+    for name, row in zip(names, rows):
+        swing = f"{row['ml_swing']:.2f}" if row["ml_swing"] is not None else "-"
+        star = "  *" if id(row) in front_ids else ""
         print(
-            f"{point.design:14s} {swing:>5s} {eng(point.energy_per_search, 'J'):>10s} "
-            f"{eng(point.search_delay, 's'):>9s} {point.margin:>7.3f}{star}"
+            f"{name:14s} {swing:>5s} {eng(row['energy_per_search'], 'J'):>10s} "
+            f"{eng(row['search_delay'], 's'):>9s} {row['margin']:>7.3f}{star}"
         )
-    print(f"\n{len(result.front)}/{len(result.points)} points are Pareto-optimal (*)")
-
+    print(f"\n{len(front)}/{len(rows)} points are Pareto-optimal (*)")
 
 if __name__ == "__main__":
     main()

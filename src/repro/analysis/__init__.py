@@ -21,6 +21,7 @@ from .dse import (
     default_space,
     evaluate_point,
     pareto_frontier,
+    registry_space,
     run_dse,
 )
 from .disturb import V_HALF, V_THIRD, DisturbAnalysis, DisturbPoint, WriteScheme
@@ -55,6 +56,7 @@ __all__ = [
     "default_space",
     "evaluate_point",
     "pareto_frontier",
+    "registry_space",
     "run_dse",
     "WriteScheme",
     "V_HALF",

@@ -6,14 +6,19 @@ interface, so the design space becomes a plain cross-product:
 
     {cell} x {rows} x {cols} x {segmentation} x {sensing} x {VDD}
 
-:func:`run_dse` evaluates each :class:`DesignPoint` on a common random
-workload (through the parallel :class:`~repro.analysis.sweep.Sweep`
-engine) and reduces the cloud to its four-objective Pareto frontier:
-minimize energy per stored bit, search delay and area per stored bit,
-maximize match accuracy.  Multi-bit (``seemcam``) and analog (``fecam``)
-cells make the accuracy axis meaningful -- they buy density with
-sub-unity per-cell decision accuracy, a trade invisible to any
-single-objective ranking.
+:func:`run_dse` evaluates each :class:`DesignPoint` on one shared random
+workload (every point at a geometry sees the same stored words and keys;
+the points run through the parallel :class:`~repro.analysis.sweep.Sweep`
+engine) and reduces the cloud to its Pareto frontier: minimize energy
+per stored bit, search delay, area per stored bit and write
+energy/latency, maximize match accuracy.  Multi-bit (``seemcam``) and
+analog (``fecam``) cells make the accuracy axis meaningful -- they buy
+density with sub-unity per-cell decision accuracy, a trade invisible to
+any single-objective ranking.
+
+:func:`registry_space` is the preset for the paper's design registry
+(experiment R-F9): one point per design, Design LV once per ML swing,
+ranked by energy per search, delay and sense margin.
 
 Points that produce functional errors on the workload stay in the
 report (the error count is part of the story -- analog windows stop
@@ -22,18 +27,18 @@ working at some word width) but are excluded from the frontier.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from ..circuits.senseamp import CurrentRaceSenseAmp
+from ..core.designs import all_designs, periphery
 from ..errors import AnalysisError
 from ..tcam.array import ArrayGeometry, TCAMArray
 from ..tcam.bank import SegmentedBank
 from ..tcam.cells import get_cell, list_cells
+from ..tcam.nand_array import NANDTCAMArray
 from ..tcam.trit import Trit, random_word
 from .sweep import Sweep
 
@@ -62,8 +67,11 @@ class DesignPoint:
         cols: Array columns.
         segments: Probe-segment width for two-stage selective precharge;
             0 disables segmentation.
-        sensing: ``"precharge"`` or ``"current_race"``.
+        sensing: ``"precharge"``, ``"current_race"`` or ``"nand"`` (the
+            series FeFET string, ``fefet2t`` cells only).
         vdd: Supply override [V]; ``None`` uses the node nominal.
+        ml_swing: Clamped match-line swing [V] for precharge sensing
+            (Design LV); ``None`` precharges to full VDD.
     """
 
     cell: str
@@ -72,6 +80,7 @@ class DesignPoint:
     segments: int = 0
     sensing: str = "precharge"
     vdd: float | None = None
+    ml_swing: float | None = None
 
     def label(self) -> str:
         """Compact human-readable coordinate string."""
@@ -80,23 +89,9 @@ class DesignPoint:
             parts.append(f"seg{self.segments}")
         if self.vdd is not None:
             parts.append(f"{self.vdd:g}V")
+        if self.ml_swing is not None:
+            parts.append(f"vml{self.ml_swing:g}V")
         return "/".join(parts)
-
-    def seed_key(self, seed: int) -> list[int]:
-        """Deterministic per-point RNG seed material.
-
-        Stable across processes (no ``hash()``), so sweep rows are
-        identical at every worker count.
-        """
-        return [
-            seed,
-            zlib.crc32(self.cell.encode()),
-            zlib.crc32(self.sensing.encode()),
-            self.rows,
-            self.cols,
-            self.segments,
-            int(round((self.vdd or 0.0) * 1000)),
-        ]
 
 
 def default_space(
@@ -146,26 +141,61 @@ def default_space(
     return tuple(points)
 
 
+def registry_space(
+    rows: int, cols: int, ml_swings: Sequence[float]
+) -> tuple[tuple[str, DesignPoint], ...]:
+    """``(design name, point)`` pairs for the design registry (R-F9).
+
+    One point per :mod:`repro.core.designs` entry, at the node nominal
+    supply; a design with a clamped ML swing (Design LV) appears once
+    per value in ``ml_swings``.
+    """
+    pairs = []
+    for spec in all_designs():
+        swings = ml_swings if spec.ml_swing is not None else (None,)
+        for swing in swings:
+            point = DesignPoint(
+                spec.cell_name, rows, cols, sensing=spec.sensing, ml_swing=swing
+            )
+            pairs.append((spec.name, point))
+    return tuple(pairs)
+
+
+def _check_searches(searches: int) -> None:
+    if searches < 1:
+        raise AnalysisError(f"searches must be >= 1, got {searches}")
+
+
 def _build(point: DesignPoint):
-    """Instantiate the array (or segmented bank) for one design point."""
+    """Instantiate the array (segmented bank, NAND array) for one point."""
     geometry = ArrayGeometry(point.rows, point.cols)
     supply = point.vdd if point.vdd is not None else geometry.node.vdd_nominal
     cell = get_cell(point.cell, vdd=point.vdd)
-    if point.sensing == "current_race":
-        if point.segments:
-            raise AnalysisError("segmentation composes with precharge sensing only")
-        return cell, TCAMArray(
-            cell,
-            geometry,
-            sensing="current_race",
-            vdd=supply,
-            race_amp=CurrentRaceSenseAmp(vdd=supply),
-        )
+    if point.sensing == "nand":
+        if point.cell != "fefet2t" or point.segments or point.ml_swing is not None:
+            raise AnalysisError(
+                "NAND sensing is modeled for flat fefet2t arrays without an ML swing"
+            )
+        return cell, NANDTCAMArray(geometry, vdd=supply)
+    if point.segments and point.sensing != "precharge":
+        raise AnalysisError("segmentation composes with precharge sensing only")
+    wiring = periphery(point.sensing, supply, point.ml_swing)
     if point.segments:
-        return cell, SegmentedBank(
-            cell, geometry, probe_cols=point.segments, vdd=supply
-        )
-    return cell, TCAMArray(cell, geometry, vdd=supply)
+        return cell, SegmentedBank(cell, geometry, probe_cols=point.segments, **wiring)
+    return cell, TCAMArray(cell, geometry, **wiring)
+
+
+def _race_margin(array: TCAMArray) -> float:
+    """Current-race timing slack of a matching line [V].
+
+    The extra trip-point voltage a matching line could still have
+    absorbed inside the race window, net of the column leakage.
+    """
+    race = array.race_amp
+    net = race.i_race - array.geometry.cols * array.cell.i_leak(race.v_trip)
+    if net <= 0.0:
+        return 0.0
+    return max(net * race.t_window / array.c_ml - race.v_trip, 0.0)
 
 
 def evaluate_point(
@@ -174,24 +204,35 @@ def evaluate_point(
     seed: int = 0,
     x_fraction: float = 0.3,
 ) -> dict:
-    """Measure one design point on a common random workload.
+    """Measure one design point on the shared random workload.
 
     Returns the coordinate plus the objective metrics: energy per
     search and per stored bit, worst search delay and cycle time, total
     array area and area per stored bit, equivalent storage density,
-    per-cell match accuracy and the functional error count.
+    per-cell match accuracy, sense margin and the functional error
+    count.
 
     Args:
         point: The coordinate to evaluate.
         searches: Random search keys.
-        seed: Workload seed (per-point stream derived from it).
+        seed: Workload seed; every point draws its stored words and keys
+            from ``np.random.default_rng(seed)``, so points of one
+            geometry see identical traffic.
         x_fraction: Don't-care density of the stored words.
 
-    Arrays with a batch engine answer the keys in one ``search_batch``
-    (bit-identical to a scalar loop); others are searched key by key.
+    The sense margin is ``sense_margin()`` of the array (the worse of
+    the two stages of a segmented bank; the broken-minus-conducting
+    string voltage for NAND) and the race slack for current-race
+    sensing.  Arrays with a batch engine answer the keys in one
+    ``search_batch`` (bit-identical to a scalar loop); others are
+    searched key by key.
+
+    Raises:
+        AnalysisError: for ``searches < 1`` or an unbuildable point.
     """
+    _check_searches(searches)
     cell, array = _build(point)
-    rng = np.random.default_rng(point.seed_key(seed))
+    rng = np.random.default_rng(seed)
     words = [
         random_word(point.cols, rng, x_fraction=x_fraction)
         for _ in range(point.rows)
@@ -212,6 +253,12 @@ def evaluate_point(
         cycle = max(cycle, out.cycle_time)
         errors += getattr(out, "functional_errors", 0)
     mean_energy = energy / searches
+    if point.segments:
+        margin = min(array.stage1.sense_margin(), array.stage2.sense_margin())
+    elif point.sensing == "current_race":
+        margin = _race_margin(array)
+    else:
+        margin = array.sense_margin()
     stored_bits = point.rows * point.cols * cell.bits_per_cell
     area_f2 = point.rows * point.cols * cell.area_f2
     # Write-path characterization: deterministic per cell (mean over
@@ -228,6 +275,7 @@ def evaluate_point(
         "segments": point.segments,
         "sensing": point.sensing,
         "vdd": point.vdd,
+        "ml_swing": point.ml_swing,
         "label": point.label(),
         "bits_per_cell": cell.bits_per_cell,
         "stored_bits": stored_bits,
@@ -240,6 +288,7 @@ def evaluate_point(
         "write_energy_per_bit": write_energy / cell.bits_per_cell,
         "write_latency": write_latency,
         "accuracy": cell.match_accuracy(),
+        "margin": margin,
         "functional_errors": errors,
     }
 
@@ -321,12 +370,13 @@ def run_dse(
     Args:
         points: The coordinates to evaluate (see :func:`default_space`).
         searches: Random search keys per point.
-        seed: Workload seed; each point derives its own stream from it.
+        seed: Workload seed, shared by every point.
         workers: Process count for the point fan-out (serial by default;
             rows are identical at every worker count).
     """
     if not points:
         raise AnalysisError("the design space is empty")
+    _check_searches(searches)
     sweep = Sweep(
         knob="point",
         values=list(points),

@@ -735,6 +735,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 # the parents it needs and only declares its own flags inline.
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _design_flags(
     default: str | None, help: str = "design registry key"
 ) -> argparse.ArgumentParser:
@@ -997,7 +1007,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--segments", type=int, action="append", default=None, metavar="K",
         help="probe-column segmentation; repeat for a sweep (default: 0 = off)",
     )
-    dse.add_argument("--searches", type=int, default=8)
+    dse.add_argument(
+        "--searches", type=_positive_int, default=8,
+        help="random search keys per design point (>= 1)",
+    )
     dse.set_defaults(func=_cmd_dse)
 
     retrieval = sub.add_parser(

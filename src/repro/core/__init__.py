@@ -6,7 +6,10 @@
 * :mod:`.selective` -- technique toggles (SL gating, early termination)
   and the ablation configuration type,
 * :mod:`.segmentation` -- probe-width optimization for segmented search,
-* :mod:`.dse` -- design-space exploration and Pareto extraction.
+* :mod:`.advisor` -- workload-driven design recommendation.
+
+Design-space exploration over the registry (R-F9) lives in
+:mod:`repro.analysis.dse` (:func:`~repro.analysis.dse.registry_space`).
 """
 
 from .designs import (
@@ -19,7 +22,6 @@ from .designs import (
 from .ml_voltage import MarginReport, energy_vs_vml, margin_at_vml, minimum_ml_voltage
 from .selective import TechniqueSet, technique_grid
 from .segmentation import SegmentationPlan, expected_survivor_fraction, optimal_probe_width
-from .dse import DesignPoint, ParetoFront, explore
 from .advisor import Candidate, Recommendation, WorkloadProfile, advise
 
 __all__ = [
@@ -37,9 +39,6 @@ __all__ = [
     "SegmentationPlan",
     "expected_survivor_fraction",
     "optimal_probe_width",
-    "DesignPoint",
-    "ParetoFront",
-    "explore",
     "WorkloadProfile",
     "Candidate",
     "Recommendation",

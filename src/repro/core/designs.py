@@ -15,7 +15,9 @@ Five designs span the comparison space of the paper:
 ======================= =====================================================
 
 A :class:`DesignSpec` is declarative; :func:`build_array` turns one into a
-live :class:`~repro.tcam.array.TCAMArray` for a given geometry.
+live :class:`~repro.tcam.array.TCAMArray` for a given geometry, wiring its
+sense path through :func:`periphery` (which the design-space explorer
+shares for arbitrary registry cells).
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class DesignSpec:
         name: Registry key.
         display_name: Human-readable label for tables.
         cell_factory: Builds the cell descriptor.
-        sensing: ``"precharge"`` or ``"current_race"``.
+        sensing: ``"precharge"``, ``"current_race"`` or ``"nand"``.
         ml_swing: Absolute match-line swing [V] for precharge sensing;
             ``None`` means full VDD.
         is_proposed: True for the paper's energy-aware designs.
@@ -202,6 +204,36 @@ def all_designs() -> tuple[DesignSpec, ...]:
     return tuple(_REGISTRY.values())
 
 
+def periphery(sensing: str, vdd: float, ml_swing: float | None = None) -> dict:
+    """Sense-path keyword arguments for a :class:`TCAMArray` or bank.
+
+    Precharge sensing restores the match line to full VDD (``ml_swing``
+    ``None``) or clamps it at ``ml_swing`` (Design LV) and strobes
+    against half the precharge level; current-race sensing races the
+    line against a supply-referenced race amplifier.
+
+    Raises:
+        DesignError: for a swing outside ``(0, vdd]``, or any swing on a
+            current-race array.
+    """
+    if sensing == "current_race":
+        if ml_swing is not None:
+            raise DesignError("current-race designs have no ML swing to set")
+        return {"sensing": sensing, "vdd": vdd, "race_amp": CurrentRaceSenseAmp(vdd=vdd)}
+    if ml_swing is None:
+        precharge = FullSwingPrecharge(vdd)
+    else:
+        if not 0.0 < ml_swing <= vdd:
+            raise DesignError(f"ML swing {ml_swing} V outside (0, vdd={vdd}] V")
+        precharge = ClampedPrecharge(vdd=vdd, v_target=ml_swing)
+    return {
+        "sensing": sensing,
+        "vdd": vdd,
+        "precharge": precharge,
+        "sense_amp": VoltageSenseAmp(v_ref=0.5 * precharge.target_voltage(), vdd=vdd),
+    }
+
+
 def build_array(
     spec: DesignSpec,
     geometry: ArrayGeometry,
@@ -221,7 +253,8 @@ def build_array(
         t_eval: Evaluation-window override [s].
 
     Raises:
-        DesignError: when an ML swing is supplied for a current-race design.
+        DesignError: when an ML swing is supplied for a current-race or
+            NAND design.
     """
     supply = vdd if vdd is not None else geometry.node.vdd_nominal
 
@@ -232,34 +265,10 @@ def build_array(
 
         return NANDTCAMArray(geometry, vdd=supply, t_eval=t_eval)
 
-    cell = spec.build_cell(vdd=supply)
-
-    if spec.sensing == "current_race":
-        if ml_swing is not None:
-            raise DesignError("current-race designs have no ML swing to set")
-        return TCAMArray(
-            cell,
-            geometry,
-            sensing="current_race",
-            vdd=supply,
-            race_amp=CurrentRaceSenseAmp(vdd=supply),
-        )
-
     swing = ml_swing if ml_swing is not None else spec.ml_swing
-    if swing is None:
-        precharge = FullSwingPrecharge(supply)
-    else:
-        if not 0.0 < swing <= supply:
-            raise DesignError(f"ML swing {swing} V outside (0, vdd={supply}] V")
-        precharge = ClampedPrecharge(vdd=supply, v_target=swing)
-    v_pre = precharge.target_voltage()
-    sense_amp = VoltageSenseAmp(v_ref=0.5 * v_pre, vdd=supply)
     return TCAMArray(
-        cell,
+        spec.build_cell(vdd=supply),
         geometry,
-        sensing="precharge",
-        vdd=supply,
-        precharge=precharge,
-        sense_amp=sense_amp,
         t_eval=t_eval,
+        **periphery(spec.sensing, supply, swing),
     )

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DesignError
-from ..tcam.array import ArrayGeometry, TCAMArray
-from ..tcam.trit import random_word
-from .designs import DesignSpec, build_array
+from ..tcam.array import ArrayGeometry
+from .designs import DesignSpec
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,8 @@ class MarginReport:
         margin: V(match) - V(1-mismatch) at the strobe [V].
         guardband_sigmas: Margin divided by the SA offset sigma (the
             robustness figure the solver constrains).
-        energy_per_search: Energy of a canonical random search [J].
+        energy_per_search: Mean energy of the canonical random searches
+            [J]; ``inf`` when the array mis-searches.
         energy_per_bit: The same, per cell [J].
         functional: True when the nominal array still searches correctly.
     """
@@ -47,26 +47,8 @@ class MarginReport:
 
 
 _CANONICAL_SEED = 1021
-
-
-def _canonical_search_energy(array: TCAMArray, n_searches: int = 8) -> float:
-    """Mean search energy over a fixed random workload [J].
-
-    The workload (30% X stored patterns, fully specified keys, miss-
-    dominated) is seeded so every design sees identical traffic.
-    """
-    rng = np.random.default_rng(_CANONICAL_SEED)
-    rows, cols = array.geometry.rows, array.geometry.cols
-    words = [random_word(cols, rng, x_fraction=0.3) for _ in range(rows)]
-    array.load(words)
-    total = 0.0
-    errors = 0
-    for _ in range(n_searches):
-        key = random_word(cols, rng)
-        out = array.search(key)
-        total += out.energy_total
-        errors += out.functional_errors
-    return total / n_searches if errors == 0 else float("inf")
+"""Workload seed of the swing characterization (30% X stored patterns,
+fully specified keys, miss-dominated traffic)."""
 
 
 def margin_at_vml(
@@ -90,17 +72,20 @@ def margin_at_vml(
         raise DesignError(f"design {spec.name!r} has no ML swing to characterize")
     if sa_offset_sigma <= 0.0:
         raise DesignError(f"sa_offset_sigma must be positive, got {sa_offset_sigma}")
-    array = build_array(spec, geometry, ml_swing=v_ml)
-    margin = array.sense_margin()
-    energy = _canonical_search_energy(array)
-    cells = geometry.rows * geometry.cols
-    functional = np.isfinite(energy)
+    # Deferred: repro.analysis imports this package.
+    from ..analysis.dse import DesignPoint, evaluate_point
+
+    point = DesignPoint(
+        spec.cell_name, geometry.rows, geometry.cols, sensing=spec.sensing, ml_swing=v_ml
+    )
+    row = evaluate_point(point, searches=8, seed=_CANONICAL_SEED)
+    functional = row["functional_errors"] == 0
     return MarginReport(
         v_ml=v_ml,
-        margin=margin,
-        guardband_sigmas=margin / sa_offset_sigma,
-        energy_per_search=energy,
-        energy_per_bit=energy / cells if functional else float("inf"),
+        margin=row["margin"],
+        guardband_sigmas=row["margin"] / sa_offset_sigma,
+        energy_per_search=row["energy_per_search"] if functional else float("inf"),
+        energy_per_bit=row["energy_per_bit"] if functional else float("inf"),
         functional=functional,
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from ..errors import DesignError
 from ..tcam.array import ArrayGeometry, TCAMArray
 from ..tcam.bank import SegmentedBank
-from .designs import DEFAULT_LV_SWING, get_design
+from .designs import DEFAULT_LV_SWING, build_array, get_design, periphery
 
 
 @dataclass(frozen=True)
@@ -59,29 +59,17 @@ class TechniqueSet:
         spec = get_design("fefet2t_lv" if self.low_voltage_ml else "fefet2t")
         swing = DEFAULT_LV_SWING if self.low_voltage_ml else None
         if not self.segmentation:
-            from .designs import build_array
-
             return build_array(spec, geometry, ml_swing=swing)
         if self.probe_cols >= geometry.cols:
             raise DesignError(
                 f"probe width {self.probe_cols} must be below cols {geometry.cols}"
             )
-        from ..circuits.precharge import ClampedPrecharge, FullSwingPrecharge
-        from ..circuits.senseamp import VoltageSenseAmp
-
-        vdd = geometry.node.vdd_nominal
-        if swing is None:
-            precharge = FullSwingPrecharge(vdd)
-        else:
-            precharge = ClampedPrecharge(vdd=vdd, v_target=swing)
-        v_pre = precharge.target_voltage()
         return SegmentedBank(
             spec.build_cell(),
             geometry,
             probe_cols=self.probe_cols,
             early_terminate=self.early_termination,
-            precharge=precharge,
-            sense_amp=VoltageSenseAmp(v_ref=0.5 * v_pre, vdd=vdd),
+            **periphery("precharge", geometry.node.vdd_nominal, swing),
         )
 
 

@@ -280,6 +280,16 @@ class NANDTCAMArray:
         """Full-match string discharge time to the sense threshold [s]."""
         return self._string.time_to(self.v_sense)
 
+    def sense_margin(self) -> float:
+        """V(1-mismatch) - V(match) on the evaluation node at the strobe [V].
+
+        The NAND polarity is inverted: a broken (one-mismatch) string
+        stays high while a fully conducting one discharges.
+        """
+        match = self._string.evaluate(0, self.v_sense, self.t_eval)
+        broken = self._string.evaluate(1, self.v_sense, self.t_eval)
+        return broken.v_end - match.v_end
+
     def standby_power(self) -> float:
         """Array standby power [W] (same cell leakage as the NOR array)."""
         return (

@@ -42,6 +42,14 @@ class TestCorrectness:
             assert np.array_equal(out.match_mask, expected)
             assert out.functional_errors == 0
 
+    def test_sense_margin_is_broken_minus_conducting_string(self):
+        arr = NANDTCAMArray(ArrayGeometry(4, 16))
+        match = arr._string.evaluate(0, arr.v_sense, arr.t_eval)
+        broken = arr._string.evaluate(1, arr.v_sense, arr.t_eval)
+        margin = arr.sense_margin()
+        assert margin > 0.0
+        assert margin == broken.v_end - match.v_end
+
     def test_registry_builds_nand(self):
         arr = build_array(get_design("fefet_nand"), ArrayGeometry(4, 8))
         assert isinstance(arr, NANDTCAMArray)

@@ -130,6 +130,13 @@ class TestDse:
         main([*self.ARGS, "--workers", "2", "--json"])
         assert plain == json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("searches", ["0", "-2"])
+    def test_non_positive_searches_rejected_at_parse(self, searches, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["dse", "--searches", searches])
+        assert exc.value.code == 2
+        assert "--searches: must be >= 1" in capsys.readouterr().err
+
 
 class TestReportValidation:
     def test_report_rejects_unknown_schema(self, tmp_path, capsys):
