@@ -40,6 +40,7 @@ from .core import all_designs, build_array, get_design
 from .core.ml_voltage import margin_at_vml
 from .devices.variability import NOMINAL_VARIATION
 from .energy.accounting import EnergyLedger
+from .errors import ReproError
 from .reporting.table import Table
 from .tcam import ArrayGeometry
 from .tcam.cells import all_cell_specs
@@ -735,14 +736,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 # the parents it needs and only declares its own flags inline.
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(lower: int):
+    """argparse ``type``: an integer no smaller than ``lower``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"must be >= {lower}, got {value}")
+        return value
+
+    return parse
+
+
+#: Geometry and count flags (rows, columns, banks, rules, searches).
+_positive_int = _int_at_least(1)
 
 
 def _design_flags(
@@ -755,8 +765,8 @@ def _design_flags(
 
 def _shape_flags(rows: int, cols: int) -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--rows", type=int, default=rows)
-    parent.add_argument("--cols", type=int, default=cols)
+    parent.add_argument("--rows", type=_positive_int, default=rows)
+    parent.add_argument("--cols", type=_positive_int, default=cols)
     return parent
 
 
@@ -783,7 +793,7 @@ def _service_flags() -> argparse.ArgumentParser:
     """``--banks`` / ``--process``: the multi-bank service-shape knobs."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
-        "--banks", type=int, default=1,
+        "--banks", type=_positive_int, default=1,
         help="bank count; > 1 serves a TCAMChip with bank routing",
     )
     parent.add_argument(
@@ -826,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
             _json_flags("a table"),
         ],
     )
-    compare.add_argument("--searches", type=int, default=8)
+    compare.add_argument("--searches", type=_positive_int, default=8)
     compare.add_argument("--x-fraction", type=float, default=0.3)
     compare.set_defaults(func=_cmd_compare)
 
@@ -870,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
     lpm.add_argument("--lookups", type=int, default=200)
     lpm.add_argument(
         "--rows",
-        type=int,
+        type=_positive_int,
         default=None,
         help="array rows (default: routes rounded up to a power of two)",
     )
@@ -992,11 +1002,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="cell registry key; repeat to restrict (default: every cell)",
     )
     dse.add_argument(
-        "--rows", type=int, action="append", default=None, metavar="N",
+        "--rows", type=_positive_int, action="append", default=None, metavar="N",
         help="row count; repeat for a sweep (default: 32)",
     )
     dse.add_argument(
-        "--cols", type=int, action="append", default=None, metavar="N",
+        "--cols", type=_positive_int, action="append", default=None, metavar="N",
         help="column count; repeat for a sweep (default: 16 32)",
     )
     dse.add_argument(
@@ -1004,7 +1014,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="supply voltage; repeat for a sweep (default: node nominal)",
     )
     dse.add_argument(
-        "--segments", type=int, action="append", default=None, metavar="K",
+        "--segments", type=_int_at_least(0), action="append", default=None, metavar="K",
         help="probe-column segmentation; repeat for a sweep (default: 0 = off)",
     )
     dse.add_argument(
@@ -1034,7 +1044,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated Hamming tolerances to sweep",
     )
     retrieval.add_argument(
-        "--banks", type=int, default=16, help="banks tiled per chip"
+        "--banks", type=_positive_int, default=16, help="banks tiled per chip"
     )
     retrieval.set_defaults(func=_cmd_retrieval)
 
@@ -1059,9 +1069,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--topology", choices=["p2p", "bus"], default="p2p",
         help="interconnect topology",
     )
-    cluster.add_argument("--rules", type=int, default=256, help="rule-table size")
-    cluster.add_argument("--cols", type=int, default=32, help="rule width")
-    cluster.add_argument("--banks", type=int, default=1, help="banks per chip")
+    cluster.add_argument("--rules", type=_positive_int, default=256, help="rule-table size")
+    cluster.add_argument("--cols", type=_positive_int, default=32, help="rule width")
+    cluster.add_argument("--banks", type=_positive_int, default=1, help="banks per chip")
     cluster.add_argument(
         "--spares", type=int, default=2, help="spare rows per bank"
     )
@@ -1102,10 +1112,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A rejected model input (any :class:`~repro.errors.ReproError`) ends
+    the command like a rejected flag does: the message on stderr and
+    exit status 2, not a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -35,7 +35,7 @@ from ..serve.arrivals import ARRIVAL_PROCESSES
 from ..serve.backend import ServiceModel
 from ..serve.policy import make_policy
 from ..serve.service import run_trace
-from ..tcam.outcome import SCHEMA_VERSION
+from ..tcam.outcome import SCHEMA_VERSION, BatchOutcome
 from ..tcam.trit import TernaryWord, prefix_word, random_word
 from .distributor import DISTRIBUTOR_POLICIES, RuleTable
 from .fabric import TCAMFabric, logical_winner
@@ -82,6 +82,12 @@ class FabricServiceModel(ServiceModel):
     """
 
     def batch_service_time(self, outcomes) -> float:
+        if isinstance(outcomes, BatchOutcome):
+            # The loop below, down the columns: cumsum adds sequentially,
+            # and a shard a query skipped adds an exact 0.0.
+            busy = np.cumsum(outcomes.columns["shard_cycles"], axis=0)[-1].tolist()
+            medium = float(np.cumsum(outcomes.columns["link_occupancy"])[-1])
+            return self.t_overhead + max([medium, *busy])
         busy: dict[int, float] = {}
         medium = 0.0
         for o in outcomes:

@@ -40,14 +40,19 @@ import numpy as np
 
 from .. import obs
 from ..core import build_array, get_design
-from ..energy.accounting import EnergyLedger
+from ..energy.accounting import EnergyLedger, EnergyMatrix
 from ..errors import CapacityError, ClusterError
 from ..tcam import ArrayGeometry
 from ..tcam.chip import GatingPolicy, TCAMChip
-from ..tcam.outcome import BaseOutcome
+from ..tcam.outcome import BaseOutcome, BatchOutcome
 from ..tcam.trit import TernaryWord
 from .distributor import Distributor, Placement, RuleTable, get_distributor
-from .interconnect import Interconnect, LinkModel
+from .interconnect import (
+    DISTRIBUTION_COMPONENT,
+    LINK_COMPONENT,
+    Interconnect,
+    LinkModel,
+)
 
 
 @dataclass(frozen=True)
@@ -297,7 +302,7 @@ class TCAMFabric:
         """Search one key (see :meth:`search_batch`)."""
         return self.search_batch([key])[0]
 
-    def search_batch(self, keys) -> list[FabricSearchOutcome]:
+    def search_batch(self, keys) -> BatchOutcome:
         """Search a key batch across the fabric.
 
         Keys routed to the same shard keep their relative order, so
@@ -306,6 +311,13 @@ class TCAMFabric:
         which is what makes the one-chip fabric bit-identical to a
         plain :meth:`~repro.tcam.chip.TCAMChip.search_batch` call,
         ledgers included, once the link components are stripped.
+
+        The merge is columnar: every probe's chip energy matrix merges
+        into the probed keys' rows in probe order (shard, then bank),
+        and each probe's winners are one vectorised min over the
+        shard's ``row_rule`` map.  The items of the returned
+        :class:`~repro.tcam.outcome.BatchOutcome` are the
+        :class:`FabricSearchOutcome` of each key.
 
         Args:
             keys: Search keys (table width).
@@ -331,103 +343,83 @@ class TCAMFabric:
                 tuple(self.distributor.probe_shards(k, self.placement))
                 for k in keys
             ]
-            acc_energy = [EnergyLedger() for _ in range(n)]
-            acc_delay = [0.0] * n
-            acc_shards: list[dict[int, float]] = [dict() for _ in range(n)]
-            matched: list[set[int]] = [set() for _ in range(n)]
+            acc = _ProbeMerge(n, self.n_chips)
+            self._probe_round(keys, probes, acc)
 
-            self._probe_round(keys, probes, matched, acc_energy, acc_delay,
-                              acc_shards)
-            best = [min(m) if m else None for m in matched]
-
-            fallback = [False] * n
             extra: list[tuple[int, ...]] = [()] * n
-            if any(
-                self.distributor.needs_fallback(best[i], self.placement)
-                for i in range(n)
-            ):
+            needs = [
+                self.distributor.needs_fallback(None if b == _NONE else b, self.placement)
+                for b in acc.best.tolist()
+            ]
+            if any(needs):
                 extra = [
-                    tuple(
-                        s
-                        for s in range(self.n_chips)
-                        if s not in probes[i]
-                    )
-                    if self.distributor.needs_fallback(best[i], self.placement)
+                    tuple(s for s in range(self.n_chips) if s not in probes[i])
+                    if needs[i]
                     else ()
                     for i in range(n)
                 ]
-                fallback = [bool(e) for e in extra]
-                self._probe_round(keys, extra, matched, acc_energy, acc_delay,
-                                  acc_shards)
-                best = [min(m) if m else None for m in matched]
+                self._probe_round(keys, extra, acc)
+            fallback = np.array([bool(e) for e in extra], dtype=bool)
 
-            link_ledger = EnergyLedger()
-            outcomes: list[FabricSearchOutcome] = []
-            total_probes = 0
-            for i in range(n):
-                cost = self.interconnect.query_cost(len(probes[i]))
-                latency = acc_delay[i] + cost.latency
-                occupancy = cost.occupancy
-                energy, routing = cost.energy, cost.routing_energy
-                if fallback[i]:
-                    cost2 = self.interconnect.query_cost(len(extra[i]))
-                    latency += cost2.latency
-                    occupancy += cost2.occupancy
-                    energy += cost2.energy
-                    routing += cost2.routing_energy
-                per_key = EnergyLedger()
-                per_key.add("link", energy)
-                per_key.add("distribution", routing)
-                link_ledger.merge(per_key)
-                acc_energy[i].merge(per_key)
-                shards = probes[i] + extra[i]
-                total_probes += len(shards)
-                # On p2p every probe rides a dedicated link, so its
-                # transfer time folds into that shard's port occupancy;
-                # on a bus the transfers serialize on the one medium.
-                if self.interconnect.topology == "p2p":
-                    hop = self.interconnect.transfer_time()
-                    shard_cycles = tuple(
-                        (s, c + hop) for s, c in sorted(acc_shards[i].items())
-                    )
-                    link_occ = 0.0
-                else:
-                    shard_cycles = tuple(sorted(acc_shards[i].items()))
-                    link_occ = occupancy
-                max_cycle = max(acc_shards[i].values(), default=0.0)
-                outcomes.append(
-                    FabricSearchOutcome(
-                        rule=best[i],
-                        matched_rules=tuple(sorted(matched[i])),
-                        shards_probed=shards,
-                        fallback=fallback[i],
-                        energy=acc_energy[i],
-                        latency=latency,
-                        cycle=max_cycle + occupancy,
-                        shard_cycles=shard_cycles,
-                        link_occupancy=link_occ,
-                    )
+            n_first = np.array([len(p) for p in probes])
+            n_extra = np.array([len(e) for e in extra])
+            # Per probe count: (link energy, routing energy, latency,
+            # occupancy); a key without a fallback round adds an exact 0.0.
+            price = np.zeros((self.n_chips + 1, 4))
+            for c in np.union1d(n_first, n_extra).tolist():
+                cost = self.interconnect.query_cost(c)
+                price[c] = (cost.energy, cost.routing_energy, cost.latency, cost.occupancy)
+            first_cost = price[n_first]
+            extra_cost = np.where(fallback[:, np.newaxis], price[n_extra], 0.0)
+            link_e, routing, _, occupancy = (first_cost + extra_cost).T
+            latency = (acc.delay + first_cost[:, 2]) + extra_cost[:, 2]
+            link = EnergyMatrix.booking((LINK_COMPONENT, DISTRIBUTION_COMPONENT), n)
+            link.values[:, link.column(LINK_COMPONENT)] = link_e
+            link.values[:, link.column(DISTRIBUTION_COMPONENT)] = routing
+            # On p2p every probe rides a dedicated link, so its transfer
+            # time folds into that shard's port occupancy; on a bus the
+            # transfers serialize on the one medium.
+            cycles = np.where(acc.probed, acc.cycle, 0.0)
+            if self.interconnect.topology == "p2p":
+                shard_cycles = np.where(
+                    acc.probed, acc.cycle + self.interconnect.transfer_time(), 0.0
                 )
+                link_occ = np.zeros(n)
+            else:
+                shard_cycles = cycles
+                link_occ = occupancy
+            total_probes = int(n_first.sum() + n_extra.sum())
 
             self.queries_offered += n
             self.probes_issued += total_probes
-            self.fallback_queries += sum(fallback)
+            self.fallback_queries += int(fallback.sum())
+            m = obs.metrics()
+            if sp is not None or m is not None:
+                link_ledger = link.summed()
             if sp is not None:
                 sp.add_energy(link_ledger)
-                sp.annotate(probes=total_probes, fallbacks=sum(fallback))
-            m = obs.metrics()
+                sp.annotate(probes=total_probes, fallbacks=int(fallback.sum()))
             if m is not None:
                 m.counter("cluster.queries").inc(n)
                 m.counter("cluster.probes").inc(total_probes)
                 for component, joules in link_ledger:
                     m.counter("energy." + component).inc(joules)
-            return outcomes
+            return BatchOutcome(
+                first=np.where(acc.best == _NONE, -1, acc.best),
+                search_delay=latency,
+                cycle_time=cycles.max(axis=1) + occupancy,
+                energy=acc.energy.merged(link),
+                view=_fabric_view,
+                matched=acc.matched,
+                shards_probed=[p + e for p, e in zip(probes, extra)],
+                fallback=fallback,
+                probed=acc.probed,
+                shard_cycles=shard_cycles,
+                link_occupancy=link_occ,
+            )
 
-    def _probe_round(
-        self, keys, probes, matched, acc_energy, acc_delay, acc_shards
-    ) -> None:
-        """Run one probe round and fold the shard verdicts into the
-        per-key accumulators (in place)."""
+    def _probe_round(self, keys, probes, acc: "_ProbeMerge") -> None:
+        """Run one probe round and fold the shard verdicts into ``acc``."""
         by_chip: dict[int, list[int]] = {}
         for i, shards in enumerate(probes):
             for s in shards:
@@ -440,26 +432,63 @@ class TCAMFabric:
                 continue  # an empty shard cannot match and is not probed
             chip = self.chips[s]
             shard_keys = [keys[i] for i in idxs]
-            per_bank = {b: chip.search_batch(shard_keys, banks=b) for b in banks}
+            per_bank = [chip.search_batch(shard_keys, banks=b) for b in banks]
+            idxs = np.array(idxs, dtype=np.intp)
             mapped = self.row_rule[s]
-            for pos, i in enumerate(idxs):
-                shard_delay = 0.0
-                shard_cycle = 0.0
-                for b in banks:
-                    o = per_bank[b][pos]
-                    acc_energy[i].merge(o.energy)
-                    shard_delay = max(shard_delay, o.latency)
-                    shard_cycle = max(shard_cycle, o.cycle_time)
-                    mask = o.outcome.match_mask
-                    if mask is None:
-                        continue
-                    base = b * rows
-                    for local in np.flatnonzero(mask):
-                        gid = mapped[base + int(local)]
-                        if gid >= 0:
-                            matched[i].add(int(gid))
-                acc_delay[i] = max(acc_delay[i], shard_delay)
-                acc_shards[i][s] = max(acc_shards[i].get(s, 0.0), shard_cycle)
+            shard_delay = np.zeros(idxs.size)
+            shard_cycle = np.zeros(idxs.size)
+            for b, out in zip(banks, per_bank):
+                acc.energy = acc.energy.merged(out.energy, rows=idxs)
+                shard_delay = np.maximum(shard_delay, out.search_delay)
+                shard_cycle = np.maximum(shard_cycle, out.cycle_time)
+                if out.match is None:
+                    continue
+                rule = mapped[b * rows : (b + 1) * rows]
+                matched = np.where(out.match & (rule >= 0), rule, _NONE)
+                acc.matched.append((idxs, matched))
+                acc.best[idxs] = np.minimum(acc.best[idxs], matched.min(axis=1))
+            acc.delay[idxs] = np.maximum(acc.delay[idxs], shard_delay)
+            acc.cycle[idxs, s] = np.maximum(acc.cycle[idxs, s], shard_cycle)
+            acc.probed[idxs, s] = True
+
+
+#: Winner sentinel of the vectorised merge (no matched rule).
+_NONE = np.iinfo(np.int64).max
+
+
+class _ProbeMerge:
+    """Per-key accumulators of a fabric batch's probe rounds."""
+
+    def __init__(self, n: int, n_chips: int) -> None:
+        self.energy = EnergyMatrix.empty(n)
+        self.best = np.full(n, _NONE, dtype=np.int64)
+        self.delay = np.zeros(n)
+        self.cycle = np.zeros((n, n_chips))
+        self.probed = np.zeros((n, n_chips), dtype=bool)
+        #: Per probed bank: its key indices and their ``(key, row)``
+        #: matched global rule indices (``_NONE`` where a row missed).
+        self.matched: list[tuple[np.ndarray, np.ndarray]] = []
+
+
+def _fabric_view(batch: BatchOutcome, i: int) -> FabricSearchOutcome:
+    """Key ``i`` of a :meth:`TCAMFabric.search_batch` result."""
+    cols = batch.columns
+    rule = int(batch.first[i])
+    shards = np.flatnonzero(cols["probed"][i]).tolist()
+    cycles = cols["shard_cycles"][i]
+    matched = [m[idxs == i] for idxs, m in cols["matched"]]
+    matched = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *matched], axis=None))
+    return FabricSearchOutcome(
+        rule=None if rule < 0 else rule,
+        matched_rules=tuple(matched[matched != _NONE].tolist()),
+        shards_probed=cols["shards_probed"][i],
+        fallback=bool(cols["fallback"][i]),
+        energy=batch.energy.ledger(i),
+        latency=float(batch.search_delay[i]),
+        cycle=float(batch.cycle_time[i]),
+        shard_cycles=tuple((s, float(cycles[s])) for s in shards),
+        link_occupancy=float(cols["link_occupancy"][i]),
+    )
 
 
 def ternary_matches(stored: TernaryWord, key: TernaryWord) -> bool:

@@ -254,9 +254,15 @@ def build_array(
 
     Raises:
         DesignError: when an ML swing is supplied for a current-race or
-            NAND design.
+            NAND design, or an evaluation window for a current-race
+            design (its race amplifier's cutoff sets the window).
     """
     supply = vdd if vdd is not None else geometry.node.vdd_nominal
+    if t_eval is not None and spec.sensing == "current_race":
+        raise DesignError(
+            "a current-race design evaluates until its race amplifier's "
+            "cutoff; it takes no t_eval"
+        )
 
     if spec.sensing == "nand":
         if ml_swing is not None:

@@ -3,13 +3,16 @@
 Every array operation returns an :class:`EnergyLedger` that attributes each
 joule to a named component (``ml_precharge``, ``sl``, ``sa``...).  Ledgers
 add, merge and scale; the breakdown benchmark (R-F7) is a direct read-out
-of one.
+of one.  A batch search keeps its per-key ledgers as one
+:class:`EnergyMatrix` -- the same ledgers, stored column by column.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import ReproError
 
@@ -153,3 +156,170 @@ class EnergyLedger:
         for ledger in ledgers:
             out.merge(ledger)
         return out
+
+
+class EnergyMatrix:
+    """The per-key ledgers of one batch, as arrays.
+
+    Row ``i`` is key ``i``'s ledger: ``values[i, c]`` joules under
+    component ``LAYOUT[c]`` where ``booked[i, c]`` (0.0 elsewhere),
+    booked in ascending ``rank[..., c]`` -- one ``(components,)`` order
+    shared by every row, or an ``(n_keys, components)`` order per row.
+    The booking order has to be carried per key because it can differ
+    between neighbours: a chip books a wake-up ``clock`` before the
+    bank's components, a fabric whose second probe woke a gated bank
+    books it after them.  Every matrix uses the one column layout
+    :data:`LAYOUT`, so matrices of different layers merge elementwise.
+
+    Every operation reproduces the ledger arithmetic bit for bit:
+
+    * :meth:`merged` adds matrices elementwise.  A ledger merge adds
+      ``0.0 + x`` for a new component and skips an absent one; the
+      matrix adds ``x + 0.0`` there instead, the same float for
+      non-negative joules.
+    * :meth:`totals` sums each row left to right in booking order with
+      ``np.cumsum`` (a strictly sequential accumulation, like
+      :attr:`EnergyLedger.total`).  ``np.add.reduce``/``reduceat`` sum
+      pairwise and do not reproduce it.
+    * :meth:`summed` accumulates the rows top to bottom, as
+      :meth:`EnergyLedger.sum` over the per-key ledgers does.
+    """
+
+    __slots__ = ("values", "booked", "rank")
+
+    def __init__(self, values: np.ndarray, booked: np.ndarray, rank: np.ndarray) -> None:
+        self.values = values
+        self.booked = booked
+        self.rank = rank
+
+    @staticmethod
+    def column(name: str) -> int:
+        """Column of component ``name`` in :data:`LAYOUT`."""
+        try:
+            return _COLUMN[name]
+        except KeyError:
+            raise ReproError(
+                f"component {name!r} has no column in the batch layout {LAYOUT}"
+            ) from None
+
+    @classmethod
+    def empty(cls, n: int) -> "EnergyMatrix":
+        """``n`` empty ledgers."""
+        shape = (n, len(LAYOUT))
+        return cls(np.zeros(shape), np.zeros(shape, dtype=bool), _LAYOUT_RANK)
+
+    @classmethod
+    def booking(cls, names: Sequence[str], n: int) -> "EnergyMatrix":
+        """``n`` ledgers that each book ``names``, in that order, at 0.0 J
+        until the caller fills ``values[:, column(name)]`` (and clears
+        ``booked`` where a key does not book a component)."""
+        names = tuple(names)
+        pattern = _BOOKINGS.get(names)
+        if pattern is None:
+            cols = [cls.column(name) for name in names]
+            rank = np.arange(len(cols), len(cols) + len(LAYOUT))  # unbooked last
+            rank[cols] = np.arange(len(cols))
+            mask = np.zeros(len(LAYOUT), dtype=bool)
+            mask[cols] = True
+            pattern = _BOOKINGS[names] = (mask, rank)
+        mask, rank = pattern
+        booked = np.empty((n, len(LAYOUT)), dtype=bool)
+        booked[:] = mask
+        return cls(np.zeros((n, len(LAYOUT))), booked, rank)
+
+    @classmethod
+    def from_ledgers(cls, ledgers: Sequence[EnergyLedger]) -> "EnergyMatrix":
+        """Stack ledgers row by row."""
+        out = cls.empty(len(ledgers))
+        out.rank = np.zeros(out.values.shape, dtype=np.int64)
+        for i, ledger in enumerate(ledgers):
+            for pos, (name, joules) in enumerate(ledger._entries.items()):
+                c = cls.column(name)
+                out.values[i, c], out.booked[i, c], out.rank[i, c] = joules, True, pos
+        return out
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
+
+    def merged(self, other: "EnergyMatrix", rows: np.ndarray | None = None) -> "EnergyMatrix":
+        """Each row's ledger with ``other``'s merged in after it.
+
+        With ``rows``, row ``j`` of ``other`` merges into row
+        ``rows[j]`` of this matrix and the remaining rows are unchanged.
+        """
+        # A component new to a row ranks after everything the row holds.
+        offset = int(self.rank.max(initial=0)) + 1
+        if rows is None:
+            return EnergyMatrix(
+                self.values + other.values,
+                self.booked | other.booked,
+                np.where(self.booked, self.rank, other.rank + offset),
+            )
+        values = self.values.copy()
+        booked = self.booked.copy()
+        rank = np.empty(values.shape, dtype=np.int64)
+        rank[...] = self.rank
+        held = booked[rows]
+        values[rows] += other.values
+        rank[rows] = np.where(held, rank[rows], other.rank + offset)
+        booked[rows] = held | other.booked
+        return EnergyMatrix(values, booked, rank)
+
+    def _row_rank(self, i: int) -> np.ndarray:
+        return self.rank if self.rank.ndim == 1 else self.rank[i]
+
+    def totals(self) -> np.ndarray:
+        """Per-row :attr:`EnergyLedger.total`: a left-to-right sum in
+        booking order (unbooked columns add an exact ``+0.0`` last)."""
+        key = np.where(self.booked, self.rank, np.iinfo(np.int64).max)
+        order = np.argsort(key, axis=1, kind="stable")
+        ordered = np.take_along_axis(self.values, order, axis=1)
+        return np.cumsum(ordered, axis=1)[:, -1]
+
+    def ledger(self, i: int) -> EnergyLedger:
+        """Key ``i``'s :class:`EnergyLedger`."""
+        booked = np.flatnonzero(self.booked[i])
+        order = booked[np.argsort(self._row_rank(i)[booked], kind="stable")]
+        values = self.values[i]
+        return EnergyLedger._from_booked(
+            {LAYOUT[c]: float(values[c]) for c in order.tolist()}
+        )
+
+    def summed(self) -> EnergyLedger:
+        """:meth:`EnergyLedger.sum` of the rows: each component summed
+        top to bottom, components in order of first booking."""
+        if len(self) == 0:
+            return EnergyLedger()
+        sums = np.cumsum(self.values, axis=0)[-1]
+        first = np.argmax(self.booked, axis=0)
+        cols = sorted(
+            np.flatnonzero(self.booked.any(axis=0)).tolist(),
+            key=lambda c: (first[c], self._row_rank(first[c])[c]),
+        )
+        return EnergyLedger._from_booked({LAYOUT[c]: float(sums[c]) for c in cols})
+
+
+#: Column layout of every :class:`EnergyMatrix`: the canonical components
+#: in the order an array search books them, the rest, then the free-form
+#: ones the fabric (``link``, ``distribution``) and the serving layer
+#: (``dispatch``) book.  A batch books nothing else.
+LAYOUT = tuple(
+    c.value
+    for c in (
+        EnergyComponent.SEARCHLINE,
+        EnergyComponent.ML_PRECHARGE,
+        EnergyComponent.ML_DISSIPATION,
+        EnergyComponent.SENSE_AMP,
+        EnergyComponent.RACE_SOURCE,
+        EnergyComponent.PRIORITY_ENCODER,
+        EnergyComponent.LEAKAGE,
+        EnergyComponent.CLOCK,
+        EnergyComponent.WRITE,
+        EnergyComponent.REPAIR,
+    )
+) + ("link", "distribution", "dispatch")
+_COLUMN = {name: c for c, name in enumerate(LAYOUT)}
+_LAYOUT_RANK = np.arange(len(LAYOUT))
+
+#: Booked mask and rank of each :meth:`EnergyMatrix.booking` name order.
+_BOOKINGS: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}

@@ -14,12 +14,7 @@ validate against it to ``<= 1e-9`` relative error, and keys beyond a
 pinned grid fall back to it.  See DESIGN.md §11.
 """
 
-from .engine import (
-    KernelEngine,
-    PrechargeClassRow,
-    RaceClassRow,
-    sequential_segment_sum,
-)
+from .engine import KernelEngine, PrechargeClassRow, RaceClassRow
 from .soa import SoAState
 from .waveform import WaveformTable
 
@@ -29,5 +24,4 @@ __all__ = [
     "RaceClassRow",
     "SoAState",
     "WaveformTable",
-    "sequential_segment_sum",
 ]

@@ -18,6 +18,13 @@ order -- the result is bit-identical to the broadcast count.
 A fault map adds three more plane pairs under the same key matrix
 (see :class:`FaultPlanes`): the hardware's effective content, the cells
 that pull the match line down and the retention-weakened subset of those.
+
+Every product runs on the calling thread: :func:`count_product` tiles a
+product that OpenBLAS would split over worker threads into pieces it
+keeps on one.  A threaded product of this size costs more than it
+saves -- on a shared 2-CPU host the (1024 x 128) @ (128 x 256) count of
+the retrieval gate takes ~8 ms threaded and ~1 ms tiled -- and the
+counts are exact in any tiling.
 """
 
 from __future__ import annotations
@@ -28,6 +35,37 @@ import numpy as np
 
 from ..errors import KernelError
 from ..faults.faultmap import FaultKind
+
+
+#: OpenBLAS splits a GEMM over threads once ``m * n * k`` reaches twice
+#: its per-thread minimum (65536 x ``GEMM_MULTITHREAD_THRESHOLD`` = 4);
+#: below it the product runs on the calling thread.
+ONE_THREAD_MNK = 2 * 65536 * 4
+#: Stored-row (output column) width of one tile of a split product.
+ROW_CHUNK = 128
+
+
+def count_product(kd: np.ndarray, plane: np.ndarray) -> np.ndarray:
+    """``kd @ plane`` as exact int64 counts, on the calling thread.
+
+    A product below :data:`ONE_THREAD_MNK` runs as one matmul.  A larger
+    one is split along the stored-row axis into :data:`ROW_CHUNK`-wide
+    strips and each strip along the key axis into tiles small enough
+    for one thread.  Every partial sum is an integer below 2**24, so the
+    float32 counts are exact whatever the tiling.
+    """
+    m, k = kd.shape
+    n = plane.shape[1]
+    if m * k * n < ONE_THREAD_MNK:
+        return (kd @ plane).astype(np.int64)
+    out = np.empty((m, n), dtype=np.float32)
+    width = min(n, ROW_CHUNK)
+    step = max(1, (ONE_THREAD_MNK - 1) // (k * width))
+    for c in range(0, n, width):
+        strip = plane[:, c : c + width]
+        for r in range(0, m, step):
+            np.matmul(kd[r : r + step], strip, out=out[r : r + step, c : c + width])
+    return out.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -137,13 +175,13 @@ class SoAState:
         kd = np.empty((packed.shape[0], 2 * cols), dtype=np.float32)
         np.equal(packed, 1, out=kd[:, :cols], casting="unsafe")
         np.equal(packed, 0, out=kd[:, cols:], casting="unsafe")
-        intended = (kd @ self.planes).astype(np.int64)
+        intended = count_product(kd, self.planes)
         if self.faults is None:
             return intended, intended, intended, None
-        # One healthy-sized product per fault plane pair: BLAS runs them
-        # on the calling thread like a healthy batch (a single product
-        # four pairs wide went to BLAS worker threads and jittered).
-        return (intended, *(kd @ self.faults.planes.astype(np.float32)).astype(np.int64))
+        # One healthy-sized product per fault plane pair (a single
+        # product four pairs wide would go to BLAS worker threads).
+        planes = self.faults.planes.astype(np.float32)
+        return (intended, *(count_product(kd, p) for p in planes))
 
     def mismatch_counts(self, packed: np.ndarray) -> np.ndarray:
         """Matmul mismatch counts for a stacked key batch.

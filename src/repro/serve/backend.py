@@ -11,7 +11,9 @@ is identical; only the per-dispatch overhead amortization differs.
 The per-dispatch overhead itself lives in :class:`ServiceModel`: a
 fixed controller/IO time and energy cost per batch (the quantity
 dynamic batching amortizes), plus the sequential occupancy of the
-single search port (``sum(cycle_time)``).
+single search port (``sum(cycle_time)``).  Backends return the
+hardware's :class:`~repro.tcam.outcome.BatchOutcome`, which the engine
+reads column by column.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..energy.accounting import EnergyLedger
+import numpy as np
+
+from ..energy.accounting import EnergyMatrix
 from ..errors import ServeError
-from ..tcam.outcome import BaseOutcome
+from ..tcam.outcome import BaseOutcome, BatchOutcome
 from ..tcam.trit import TernaryWord
 
 #: Free-form :class:`EnergyLedger` component the per-batch dispatch
@@ -56,7 +60,7 @@ class ServiceModel:
         the fixed overhead plus the sum of per-search cycle times
         (cycle time includes match-line restore where applicable).
         """
-        return self.t_overhead + sum(o.cycle_time for o in outcomes)
+        return self.t_overhead + sum(BatchOutcome.of(outcomes).cycle_time.tolist())
 
 
 class ArrayBackend:
@@ -76,7 +80,7 @@ class ArrayBackend:
 
     def search_batch(
         self, keys: Sequence[TernaryWord], banks: Sequence[int]
-    ) -> list[BaseOutcome]:
+    ) -> BatchOutcome:
         """Search ``keys`` in order; ``banks`` is ignored (single array)."""
         return self.array.search_batch(list(keys))
 
@@ -94,17 +98,23 @@ class ChipBackend:
 
     def search_batch(
         self, keys: Sequence[TernaryWord], banks: Sequence[int]
-    ) -> list[BaseOutcome]:
+    ) -> BatchOutcome:
         """Search ``keys`` in order, each routed to its bank."""
         return self.chip.search_batch(list(keys), list(banks))
 
 
 def request_energy(
-    outcome: BaseOutcome, model: ServiceModel, batch_size: int
-) -> EnergyLedger:
-    """Per-request energy: own search + an even share of batch overhead."""
-    ledger = EnergyLedger()
-    ledger.merge(outcome.energy)
+    outcomes: BatchOutcome, model: ServiceModel, batch_size: int
+) -> np.ndarray:
+    """Per-request energy [J]: own search + an even share of batch overhead.
+
+    Each request's ledger gets the ``dispatch`` share booked after its
+    search components, and its total is summed left to right in booking
+    order -- the float ``EnergyLedger.total`` of that ledger.
+    """
+    energy = outcomes.energy
     if model.e_overhead:
-        ledger.add(DISPATCH_COMPONENT, model.e_overhead / batch_size)
-    return ledger
+        share = EnergyMatrix.booking((DISPATCH_COMPONENT,), len(energy))
+        share.values[:, share.column(DISPATCH_COMPONENT)] = model.e_overhead / batch_size
+        energy = energy.merged(share)
+    return energy.totals()

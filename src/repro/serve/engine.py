@@ -33,6 +33,7 @@ from typing import Any
 
 from .. import obs
 from ..errors import ServeError
+from ..tcam.outcome import BatchOutcome
 from ..tcam.trit import TernaryWord
 from .admission import AdmissionControl
 from .backend import DISPATCH_COMPONENT, ServiceModel, request_energy
@@ -229,31 +230,26 @@ class ServeEngine:
         with obs.span(
             "serve.batch", batch_id=self._batch_id, batch_size=size
         ) as sp:
-            outcomes = self.backend.search_batch(
-                [r.key for r in batch], [r.bank for r in batch]
+            outcomes = BatchOutcome.of(
+                self.backend.search_batch([r.key for r in batch], [r.bank for r in batch])
             )
             service = self.model.batch_service_time(outcomes)
             finish = when + service
-            records = []
-            for req, outcome in zip(batch, outcomes):
-                ledger = request_energy(outcome, self.model, size)
-                records.append(
-                    RequestRecord(
-                        seq=req.seq,
-                        arrival=req.arrival,
-                        dispatch=when,
-                        finish=finish,
-                        batch_id=self._batch_id,
-                        batch_size=size,
-                        matched=outcome.first_match is not None,
-                        row=(
-                            None
-                            if outcome.first_match is None
-                            else int(outcome.first_match)
-                        ),
-                        energy=ledger.total,
-                    )
+            energies = request_energy(outcomes, self.model, size).tolist()
+            records = [
+                RequestRecord(
+                    seq=req.seq,
+                    arrival=req.arrival,
+                    dispatch=when,
+                    finish=finish,
+                    batch_id=self._batch_id,
+                    batch_size=size,
+                    matched=first >= 0,
+                    row=None if first < 0 else first,
+                    energy=energy,
                 )
+                for req, first, energy in zip(batch, outcomes.first.tolist(), energies)
+            ]
             if sp is not None:
                 # The backend's own instrumentation (array/chip search
                 # spans) hangs off this span and carries the physics
@@ -268,7 +264,7 @@ class ServeEngine:
         self.batches += 1
         self.completed += size
         self.busy_time += service
-        self.energy_total += sum(r.energy for r in records)
+        self.energy_total += sum(energies)
         m = obs.metrics()
         if m is not None:
             m.counter("serve.completed").inc(size)

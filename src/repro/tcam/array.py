@@ -42,13 +42,13 @@ from ..circuits.rc import discharge_waveform_batch
 from ..circuits.searchline import SearchLine, count_toggles
 from ..circuits.senseamp import CurrentRaceSenseAmp, VoltageSenseAmp
 from ..circuits.wire import M2_WIRE, M4_WIRE, WireModel
-from ..energy.accounting import EnergyComponent, EnergyLedger
+from ..energy.accounting import EnergyComponent, EnergyLedger, EnergyMatrix
 from ..energy.estimator import ArrayEstimator
 from ..errors import TCAMError
 from ..faults.faultmap import FaultKind, FaultMap
 from .area import TECH_45NM, TechNode, cell_dimensions
 from .cell import CellDescriptor
-from .outcome import BaseOutcome
+from .outcome import BaseOutcome, BatchOutcome
 from .priority import PriorityEncoder
 from .trit import (
     TernaryWord,
@@ -61,12 +61,16 @@ from .trit import (
 
 _SENSING_STYLES = ("precharge", "current_race")
 
-# Canonical component keys, pre-resolved for the distance-kernel ledger
-# assembly (EnergyLedger._from_booked takes plain strings).
+#: Set bits of a 2-bit (SL, SLB) drive-code difference: its toggle count.
+_BITS_SET = np.array([0, 1, 1, 2])
+
+# Canonical component keys, pre-resolved for the batch assembly
+# (EnergyLedger._from_booked and EnergyMatrix take plain strings).
 _SL = EnergyComponent.SEARCHLINE.value
 _PRE = EnergyComponent.ML_PRECHARGE.value
 _DISS = EnergyComponent.ML_DISSIPATION.value
 _SA = EnergyComponent.SENSE_AMP.value
+_RACE = EnergyComponent.RACE_SOURCE.value
 _ENC = EnergyComponent.PRIORITY_ENCODER.value
 _LEAK = EnergyComponent.LEAKAGE.value
 
@@ -132,6 +136,22 @@ class SearchOutcome(BaseOutcome):
             "miss_histogram": {int(k): int(v) for k, v in self.miss_histogram.items()},
             "functional_errors": int(self.functional_errors),
         }
+
+
+def _search_view(batch: BatchOutcome, i: int) -> SearchOutcome:
+    """Key ``i`` of a :meth:`TCAMArray.search_batch` result."""
+    hist = batch.columns["miss_counts"][i]
+    classes = np.flatnonzero(hist)
+    first = int(batch.first[i])
+    return SearchOutcome(
+        match_mask=batch.match[i].copy(),
+        first_match=None if first < 0 else first,
+        energy=batch.energy.ledger(i),
+        search_delay=float(batch.search_delay[i]),
+        cycle_time=float(batch.cycle_time[i]),
+        miss_histogram=dict(zip(classes.tolist(), hist[classes].tolist())),
+        functional_errors=int(batch.columns["functional_errors"][i]),
+    )
 
 
 @dataclass(frozen=True)
@@ -566,7 +586,6 @@ class TCAMArray:
                     f"{self.geometry.cols}"
                 )
         self._content_version += 1
-        cols = self.geometry.cols
         new = np.stack([w.as_array() for w in words])
         block = slice(start_row, start_row + n_rows)
         old = self._stored[block]
@@ -575,11 +594,8 @@ class TCAMArray:
         for o in range(3):
             for t in range(3):
                 e_tab[o, t] = self.estimator.write_cost(Trit(o), Trit(t)).energy
-        cell_e = e_tab[old, new]
-        from ..kernels import sequential_segment_sum
-
-        starts = np.arange(n_rows, dtype=np.int64) * cols
-        row_e = sequential_segment_sum(cell_e.ravel(), starts, starts + cols)
+        # Row sums left to right, as the per-trit write loop adds them.
+        row_e = np.cumsum(e_tab[old, new], axis=1)[:, -1]
         changed = old != new
         total_changed = int(np.count_nonzero(changed))
         self._write_counts[block][changed] += 1
@@ -686,15 +702,14 @@ class TCAMArray:
         weak = pulldown & (kind == int(FaultKind.RETENTION))
         return pulldown, weak
 
-    def _book_fault_metrics(self, outcomes: Sequence[SearchOutcome]) -> None:
-        """Count fault-injected searches and the functional errors seen."""
+    def _book_fault_metrics(self, errors: np.ndarray) -> None:
+        """Count fault-injected searches and the functional errors seen
+        (``errors``: per-search functional error counts)."""
         m = obs.metrics()
         if m is None or self._faults_empty:
             return
-        m.counter("faults.searches").inc(len(outcomes))
-        m.counter("faults.functional_errors").inc(
-            sum(o.functional_errors for o in outcomes)
-        )
+        m.counter("faults.searches").inc(len(errors))
+        m.counter("faults.functional_errors").inc(int(np.sum(errors)))
 
     # ------------------------------------------------------------------
     # Search path
@@ -750,7 +765,7 @@ class TCAMArray:
         ledger = EnergyLedger()
         self._book_searchline_energy(ledger, key)
         outcome = self._search_key(ledger, key.as_array(), active)
-        self._book_fault_metrics([outcome])
+        self._book_fault_metrics([outcome.functional_errors])
         return outcome
 
     def _search_key(
@@ -817,11 +832,12 @@ class TCAMArray:
         self,
         keys: Iterable[TernaryWord],
         row_mask: np.ndarray | None = None,
-    ) -> list[SearchOutcome]:
+    ) -> BatchOutcome:
         """Execute many searches on the compiled kernel.
 
-        Produces exactly the :class:`SearchOutcome` sequence that calling
-        :meth:`search` once per key would (including the sequential
+        Returns one :class:`~repro.tcam.outcome.BatchOutcome` whose items
+        are exactly the :class:`SearchOutcome` sequence that calling
+        :meth:`search` once per key would produce (including the sequential
         search-line toggle semantics: the first key toggles against the
         array's current drive state and each subsequent key against its
         predecessor), but every count comes from one SoA matmul and
@@ -850,17 +866,17 @@ class TCAMArray:
         self,
         keys: list[TernaryWord],
         row_mask: np.ndarray | None = None,
-    ) -> list[SearchOutcome]:
+    ) -> BatchOutcome:
         packed = self._pack_batch(keys)
         active = self._active_mask(row_mask)
         self._book_path("kernel")
         outcomes = self._search_batch_kernel(packed, active)
-        self._book_fault_metrics(outcomes)
+        self._book_fault_metrics(outcomes.columns["functional_errors"])
         return outcomes
 
     # -- observability booking -------------------------------------------------
 
-    def _run_batch(self, sp, impl, *args) -> list:
+    def _run_batch(self, sp, impl, *args):
         """Run one batch ``impl`` and book its energy and kernel counters.
 
         Shared by every ``*_batch`` API: the span receives the summed
@@ -872,7 +888,10 @@ class TCAMArray:
         before = (eng.table_hits, eng.rk4_fallbacks)
         outcomes = impl(*args)
         if sp is not None:
-            ledger = EnergyLedger.sum(o.energy for o in outcomes)
+            if isinstance(outcomes, BatchOutcome):
+                ledger = outcomes.energy.summed()
+            else:
+                ledger = EnergyLedger.sum(o.energy for o in outcomes)
             sp.add_energy(ledger)
             self._book_batch_metrics(len(outcomes), ledger)
         if m is not None:
@@ -984,10 +1003,8 @@ class TCAMArray:
             for n in classes
         }
 
-    def _search_batch_kernel(
-        self, packed: np.ndarray, active: np.ndarray
-    ) -> list[SearchOutcome]:
-        """Kernel body of :meth:`_search_batch_impl`: fused numpy assembly.
+    def _search_batch_kernel(self, packed: np.ndarray, active: np.ndarray) -> BatchOutcome:
+        """Kernel body of :meth:`_search_batch_impl`: columnar assembly.
 
         The SoA matmuls (exact integer float32 accumulation) yield, per
         ``(key, row)``, the mismatches on the written and on the
@@ -996,13 +1013,15 @@ class TCAMArray:
         weak pull-down conducts and its SA is unbiased: its class is its
         pull-down count, gathered from the compiled row of the key's
         ``driven``.  The other, *exceptional* pairs read the engine's
-        signature memo.  Per key, the groups are ordered as the reference
-        books them (ascending signature -- ascending ``n_miss`` on
-        healthy hardware) and summed with ``sequential_segment_sum``,
-        whose strictly left-to-right accumulation reproduces the
-        reference ``ledger.add`` loop bit for bit.  Keys driving more
-        columns than a pinned grid take the reference body
-        :meth:`_search_key`.
+        signature memo and are scattered into the dense ``(key, class)``
+        count matrix at their canonical signature rank (ascending
+        signature -- ascending ``n_miss`` on healthy hardware -- is the
+        order the reference books its groups in).  Each energy
+        component is then one row-wise ``np.cumsum`` of count x table
+        value: strictly left-to-right, like the reference's
+        ``ledger.add`` loop, with an exact ``+0.0`` for every absent
+        class.  Keys driving more columns than a pinned grid take the
+        reference body :meth:`_search_key`.
         """
         eng = self.kernel
         fm = self._faults if self._fault_injection_active() else None
@@ -1015,12 +1034,8 @@ class TCAMArray:
         ) as sp:
             intended, effective, pull, weak = soa.search_counts(packed)
             driven_all = np.count_nonzero(packed != int(Trit.X), axis=1)
-            toggles = self._batch_toggles(packed)
-            e_toggle = self.estimator.sl_toggle_energy()
-            outcomes: list[SearchOutcome | None] = [None] * n_keys
             sensed = active if fm is None else active & ~soa.faults.dead
             sl_delay = self.sl_settle_delay
-            enc_energy = self.estimator.encode_energy()
             enc_delay = self.encoder.delay
             # Exactly the scalar leakage expression sans the trailing
             # ``* cycle_time`` factor (left-associative, so the prefix
@@ -1068,6 +1083,26 @@ class TCAMArray:
                 nominal_pulls, minlength=n_keys * n_classes
             ).reshape(n_keys, n_classes)
 
+            # The batch's columns.  Energy columns in canonical booking
+            # order; only reference-body keys can leave some unbooked.
+            if precharge:
+                components = (_SL, _PRE, _DISS, _SA, _ENC, _LEAK)
+                e_fields = ("e_restore", "e_diss", "e_sense")
+                fields = e_fields + ("t_sense", "t_restore")
+            else:
+                components = (_SL, _RACE, _ENC, _LEAK)
+                e_fields = fields = ("energy",)
+            ledgers = EnergyMatrix.booking(components, n_keys)
+            energy, booked = ledgers.values, ledgers.booked
+            col = [ledgers.column(name) for name in components]
+            energy[:, col[0]] = self._batch_toggles(packed) * self.estimator.sl_toggle_energy()
+            energy[:, col[-2]] = self.estimator.encode_energy()
+            match = np.zeros((n_keys, rows), dtype=bool)
+            first = np.full(n_keys, -1, dtype=np.int64)
+            search_delay = np.empty(n_keys)
+            cycle_time = np.empty(n_keys)
+            errors = np.empty(n_keys, dtype=np.int64)
+
             # Out-of-grid keys take the reference body, booked as RK4
             # fallbacks; so does every key when no row is sensed (nothing
             # to integrate, only SL, encoder and leakage book).
@@ -1086,121 +1121,88 @@ class TCAMArray:
                     )
             for k in fallback_idx.tolist():
                 ledger = EnergyLedger()
-                ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                outcomes[k] = self._search_key(ledger, packed[k], active)
+                ledger.add(EnergyComponent.SEARCHLINE, float(energy[k, col[0]]))
+                ref = self._search_key(ledger, packed[k], active)
                 eng.rk4_fallbacks += int(n_groups[k])
+                for c, name in zip(col, components):
+                    energy[k, c] = ledger.get(name)
+                    booked[k, c] = name in ledger._entries
+                match[k] = ref.match_mask
+                first[k] = -1 if ref.first_match is None else ref.first_match
+                search_delay[k], cycle_time[k] = ref.search_delay, ref.cycle_time
+                errors[k] = ref.functional_errors
 
-            from ..kernels import sequential_segment_sum
-
-            fields = ("e_restore", "e_diss", "e_sense", "t_sense", "t_restore")
-            fields = fields if precharge else ("energy",)
             idx = np.flatnonzero(in_grid)
-            for d in np.unique(driven_all[idx]).tolist():
-                grp = idx[driven_all[idx] == d]
+            drivens = np.flatnonzero(np.bincount(driven_all[idx])).tolist() if idx.size else []
+            n_e = len(e_fields)
+            e_cols = slice(col[1], col[1] + n_e)  # the layout keeps them adjacent
+            for d in drivens:
+                # The whole batch is one group in the common case: slice
+                # it rather than gather it.
+                whole = len(drivens) == 1 and idx.size == n_keys
+                grp = slice(None) if whole else idx[driven_all[idx] == d]
                 row = eng.row(d)
-                ca = counts_nom[grp]
-                kk, cls = np.nonzero(ca)  # row-major: per key, ascending class
-                cnt = ca[kk, cls]
-                tab = {name: getattr(row, name) for name in fields}
+                counts = counts_nom[grp, : d + 1]
+                tab = np.array([getattr(row, f) for f in fields])
                 phys = row.is_match[pull[grp]]
                 sel = np.flatnonzero(driven_all[exc_k] == d)
                 if sel.size:
-                    # Append the group's exceptional classes behind the
-                    # compiled ones and re-sort every key's groups into
-                    # canonical signature order.
+                    # Scatter the group's exceptional classes into the
+                    # dense counts at their canonical signature rank.
                     uniq, inv = np.unique(exc_id[sel], return_inverse=True)
                     sigs = [exc_sigs[i] for i in uniq.tolist()]
                     results = eng.signature_results(sigs)
                     width = d + 1 + len(sigs)
                     all_sigs = [(n, (), d - n, 0.0) for n in range(d + 1)] + sigs
+                    order = sorted(range(width), key=all_sigs.__getitem__)
                     rank = np.empty(width, dtype=np.intp)
-                    rank[sorted(range(width), key=all_sigs.__getitem__)] = np.arange(width)
-                    local = np.searchsorted(grp, exc_k[sel])
-                    codes, ecnt = np.unique(
-                        local * width + (d + 1) + inv, return_counts=True
-                    )
-                    kk = np.concatenate([kk, codes // width])
-                    cls = np.concatenate([cls, codes % width])
-                    cnt = np.concatenate([cnt, ecnt])
-                    order = np.argsort(kk * width + rank[cls])
-                    kk, cls, cnt = kk[order], cls[order], cnt[order]
-                    tab = {
-                        name: np.concatenate([t, [getattr(r, name) for r in results]])
-                        for name, t in tab.items()
-                    }
+                    rank[order] = np.arange(width)
+                    local = exc_k[sel] if whole else np.searchsorted(grp, exc_k[sel])
+                    dense = np.zeros((counts.shape[0], width), dtype=np.int64)
+                    dense[:, rank[: d + 1]] = counts
+                    np.add.at(dense, (local, rank[d + 1 + inv]), 1)
+                    counts = dense
+                    extra = [[getattr(r, f) for r in results] for f in fields]
+                    tab = np.concatenate([tab, extra], axis=1)[:, order]
                     phys[local, exc_r[sel]] = np.array(
                         [r.is_match for r in results], dtype=bool
                     )[inv]
-                eng.table_hits += int(kk.size)
-                cnt = cnt.astype(np.float64)
-                bounds = np.searchsorted(kk, np.arange(grp.size + 1))
-                seg, seg_ends = bounds[:-1], bounds[1:]
+                eng.table_hits += int(np.count_nonzero(counts))
+                cnt = counts[:, np.newaxis, :].astype(np.float64)
+                energy[grp, e_cols] = np.cumsum(cnt * tab[:n_e], axis=2)[:, :, -1]
                 if precharge:
-                    e_pre = sequential_segment_sum(cnt * tab["e_restore"][cls], seg, seg_ends)
-                    e_diss = sequential_segment_sum(cnt * tab["e_diss"][cls], seg, seg_ends)
-                    e_sa = sequential_segment_sum(cnt * tab["e_sense"][cls], seg, seg_ends)
-                    # Max reductions are order-independent selections, so
-                    # reduceat is exact here.
-                    t_sa = np.maximum.reduceat(tab["t_sense"][cls], seg)
-                    t_res = np.maximum.reduceat(tab["t_restore"][cls], seg)
+                    # Max reductions are order-independent selections;
+                    # absent classes read 0.0, the reference's start value.
+                    t_sa, t_res = np.where(cnt > 0, tab[n_e:], 0.0).max(axis=2).T
                     t_sense = self.t_eval + t_sa
-                    t_cycle = t_sense + t_res
-                    search_delay = sl_delay + t_sense + enc_delay
-                    cycle_time = sl_delay + t_cycle
-                    leak = k_leak * cycle_time
+                    search_delay[grp] = sl_delay + t_sense + enc_delay
+                    cycle_time[grp] = sl_delay + (t_sense + t_res)
                 else:
-                    e_race = sequential_segment_sum(cnt * tab["energy"][cls], seg, seg_ends)
                     cutoff = self.race_amp.cutoff_time(self.c_ml)
-                    t_cycle_s = 1.2 * cutoff
-                    search_delay_s = sl_delay + cutoff + enc_delay
-                    cycle_time_s = sl_delay + t_cycle_s
-                    leak_s = k_leak * cycle_time_s
+                    search_delay[grp] = sl_delay + cutoff + enc_delay
+                    cycle_time[grp] = sl_delay + 1.2 * cutoff
 
-                eff = phys & sv[np.newaxis, :]
-                logical = (intended[grp] == 0) & av[np.newaxis, :]
-                errors = np.count_nonzero(eff != logical, axis=1)
-                has_match = eff.any(axis=1)
-                firsts = np.argmax(eff, axis=1)
-
-                cv = counts_valid[grp]
-                kv, nv = np.nonzero(cv)
-                cvals = cv[kv, nv]
-                hist_bounds = np.searchsorted(kv, np.arange(grp.size + 1))
-
-                for i, k in enumerate(grp.tolist()):
-                    ledger = EnergyLedger()
-                    ledger.add(EnergyComponent.SEARCHLINE, int(toggles[k]) * e_toggle)
-                    if precharge:
-                        ledger.add(EnergyComponent.ML_PRECHARGE, float(e_pre[i]))
-                        ledger.add(EnergyComponent.ML_DISSIPATION, float(e_diss[i]))
-                        ledger.add(EnergyComponent.SENSE_AMP, float(e_sa[i]))
-                        sd = float(search_delay[i])
-                        ct = float(cycle_time[i])
-                        lk = float(leak[i])
-                    else:
-                        ledger.add(EnergyComponent.RACE_SOURCE, float(e_race[i]))
-                        sd, ct, lk = search_delay_s, cycle_time_s, leak_s
-                    ledger.add(EnergyComponent.PRIORITY_ENCODER, enc_energy)
-                    ledger.add(EnergyComponent.LEAKAGE, lk)
-                    lo, hi = int(hist_bounds[i]), int(hist_bounds[i + 1])
-                    outcomes[k] = SearchOutcome(
-                        match_mask=eff[i].copy(),
-                        first_match=int(firsts[i]) if has_match[i] else None,
-                        energy=ledger,
-                        search_delay=sd,
-                        cycle_time=ct,
-                        miss_histogram={
-                            int(n): int(c) for n, c in zip(nv[lo:hi], cvals[lo:hi])
-                        },
-                        functional_errors=int(errors[i]),
-                    )
+                eff = phys & sv
+                errors[grp] = np.count_nonzero(eff != ((intended[grp] == 0) & av), axis=1)
+                first[grp] = np.where(eff.any(axis=1), eff.argmax(axis=1), -1)
+                match[grp] = eff
+            energy[idx, col[-1]] = k_leak * cycle_time[idx]
             if sp is not None:
                 sp.annotate(
                     fallback_keys=int(fallback_idx.size),
                     exceptional_pairs=int(exc_k.size),
                     rows_built=eng.rows_built,
                 )
-            return outcomes
+            return BatchOutcome(
+                first=first,
+                search_delay=search_delay,
+                cycle_time=cycle_time,
+                energy=ledgers,
+                match=match,
+                view=_search_view,
+                miss_counts=counts_valid,
+                functional_errors=errors,
+            )
 
     # -- search-line booking -------------------------------------------------
 
@@ -1223,14 +1225,11 @@ class TCAMArray:
         exactly the sequence ``search`` would produce key by key.
         """
         drives = drive_matrix(packed)
-        if self._last_drive is None:
-            prev0 = np.zeros(packed.shape[1], dtype=np.int8)
-        else:
-            prev0 = np.asarray(self._last_drive, dtype=np.int8)
-        previous = np.vstack([prev0[np.newaxis, :], drives[:-1]])
-        diff = (drives ^ previous) & 0b11
-        toggles = ((diff & 1) + ((diff >> 1) & 1)).sum(axis=1)
-        self._last_drive = tuple(int(c) for c in drives[-1])
+        previous = np.empty_like(drives)
+        previous[0] = 0 if self._last_drive is None else self._last_drive
+        previous[1:] = drives[:-1]
+        toggles = _BITS_SET[drives ^ previous].sum(axis=1)
+        self._last_drive = tuple(drives[-1].tolist())
         return toggles
 
     # -- per-mismatch-class sensing results ----------------------------------
@@ -2070,10 +2069,9 @@ class TCAMArray:
     ) -> list[ThresholdMatchOutcome]:
         """Fused distance kernel of :meth:`threshold_match_batch` (cf.
         :meth:`_nearest_match_batch_kernel`); accepted-class restore and
-        dissipation come from the compiled tables through segmented
-        left-to-right sums, reproducing the reference accumulation."""
-        from ..kernels import sequential_segment_sum
-
+        dissipation come from the compiled tables through row-wise
+        ``np.cumsum`` over the dense class counts, reproducing the
+        reference's left-to-right accumulation."""
         eng = self.kernel
         rows = self.geometry.rows
         n_keys = len(keys)
@@ -2126,13 +2124,10 @@ class TCAMArray:
                 leak = k_leak * delay
                 # Accepted classes are exactly the first ``cut`` columns of
                 # the class histogram (miss <= driven bounds the rest out).
-                cv = counts_valid[grp][:, : min(cut, d + 1)]
-                kk, nn = np.nonzero(cv)  # row-major: per key, ascending class
-                cnt = cv[kk, nn].astype(np.float64)
-                bounds = np.searchsorted(kk, np.arange(grp.size + 1))
-                seg, seg_ends = bounds[:-1], bounds[1:]
-                e_pre = sequential_segment_sum(cnt * vrow.e_restore[nn], seg, seg_ends)
-                e_diss = sequential_segment_sum(cnt * vrow.e_diss[nn], seg, seg_ends)
+                width = min(cut, d + 1)
+                cnt = counts_valid[grp][:, :width].astype(np.float64)
+                e_pre = np.cumsum(cnt * vrow.e_restore[:width], axis=1)[:, -1]
+                e_diss = np.cumsum(cnt * vrow.e_diss[:width], axis=1)[:, -1]
                 nl = n_losers[grp]
                 pre_losers = nl.astype(np.float64) * r0
                 # Reference booking folds to one elementwise sum per
@@ -2173,8 +2168,6 @@ class TCAMArray:
         which reproduces the reference's stable-sort tie-breaking
         (ascending distance, then row index) under ``argpartition``.
         """
-        from ..kernels import sequential_segment_sum
-
         eng = self.kernel
         n_keys = len(keys)
         with obs.span("array.distance_kernel", mode="topk", n_keys=n_keys) as sp:
@@ -2233,13 +2226,9 @@ class TCAMArray:
                 leak = k_leak * delays
                 # Surviving classes: miss <= d_k, zeroed out per key.
                 cv = counts_valid[grp] * (class_grid[np.newaxis, :] <= dk[:, np.newaxis])
-                cv = cv[:, : d + 1]
-                kk, nn = np.nonzero(cv)
-                cnt = cv[kk, nn].astype(np.float64)
-                bounds = np.searchsorted(kk, np.arange(grp.size + 1))
-                seg, seg_ends = bounds[:-1], bounds[1:]
-                e_pre = sequential_segment_sum(cnt * vrow.e_restore[nn], seg, seg_ends)
-                e_diss = sequential_segment_sum(cnt * vrow.e_diss[nn], seg, seg_ends)
+                cnt = cv[:, : d + 1].astype(np.float64)
+                e_pre = np.cumsum(cnt * vrow.e_restore, axis=1)[:, -1]
+                e_diss = np.cumsum(cnt * vrow.e_diss, axis=1)[:, -1]
                 nl = n_losers[grp]
                 pre_losers = nl.astype(np.float64) * r0
                 enc_total = float(n_take) * enc_e

@@ -24,12 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..energy.accounting import EnergyComponent, EnergyLedger
+from ..energy.accounting import EnergyComponent, EnergyLedger, EnergyMatrix
 from ..errors import CapacityError, TCAMError
 from ..faults.faultmap import FaultMap
 from .array import SearchOutcome, TCAMArray
-from .outcome import BaseOutcome
+from .outcome import BaseOutcome, BatchOutcome
 from .trit import TernaryWord
+
+
+_CLOCK = EnergyComponent.CLOCK.value
+_LEAK = EnergyComponent.LEAKAGE.value
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,23 @@ class ChipSearchOutcome(BaseOutcome):
 
     def _extra_dict(self) -> dict:
         return {"bank": int(self.bank), "latency": self.latency}
+
+
+def _chip_view(batch: BatchOutcome, i: int) -> ChipSearchOutcome:
+    """Key ``i`` of a :meth:`TCAMChip.search_batch` result."""
+    cols = batch.columns
+    row = int(batch.first[i])
+    for idxs, inner in cols["parts"]:
+        j = int(np.searchsorted(idxs, i))
+        if j < idxs.size and idxs[j] == i:
+            break
+    return ChipSearchOutcome(
+        bank=int(cols["bank"][i]),
+        row=None if row < 0 else row,
+        outcome=inner[j],
+        energy=batch.energy.ledger(i),
+        latency=float(batch.search_delay[i]),
+    )
 
 
 class TCAMChip:
@@ -227,6 +248,25 @@ class TCAMChip:
         self._powered[bank_idx] = True
         return self.gating.wakeup_latency
 
+    def _overheads(self, bank_ids: np.ndarray, idle_time: float) -> EnergyMatrix:
+        """Step the wake / idle-leak / gating state machine through a
+        batch in key order: per key, the wake-up ``clock`` and idle
+        ``leakage`` a :meth:`search` call would book first."""
+        out = EnergyMatrix.booking((_CLOCK, _LEAK), len(bank_ids))
+        clock, leak = out.column(_CLOCK), out.column(_LEAK)
+        out.booked[:, clock] = False
+        out.booked[:, leak] = idle_time > 0.0
+        for i, b in enumerate(bank_ids.tolist()):
+            if not self._powered[b]:
+                out.values[i, clock] = self.gating.wakeup_energy
+                out.booked[i, clock] = self._powered[b] = True
+            if idle_time > 0.0:
+                powered = int(np.count_nonzero(self._powered))
+                leak_power = self.banks[0].standby_power()
+                out.values[i, leak] = powered * leak_power * idle_time
+            self._sleep_idle(b)
+        return out
+
     def _sleep_idle(self, active_bank: int) -> None:
         """Gate every bank except the one just used (it stays warm)."""
         if self.gating.gate_idle_banks:
@@ -290,17 +330,19 @@ class TCAMChip:
         keys: Iterable[TernaryWord],
         banks: int | Sequence[int],
         idle_time: float = 0.0,
-    ) -> list[ChipSearchOutcome]:
+    ) -> BatchOutcome:
         """Search many keys, sharding the work across banks.
 
-        Produces the :class:`ChipSearchOutcome` sequence a serial loop of
-        :meth:`search` calls would (same ledgers, rows and latencies; the
-        wake / idle-leak / gating state machine is stepped through the
-        keys in order before any bank is searched).  Each bank then runs
-        one ``search_batch`` over the keys routed to it, in their
-        original relative order, so its search-line toggle chain evolves
-        exactly as in the serial loop -- which is what makes
-        bank-sharding safe.
+        Returns one :class:`~repro.tcam.outcome.BatchOutcome` whose items
+        are the :class:`ChipSearchOutcome` sequence a serial loop of
+        :meth:`search` calls would produce (same ledgers, rows and
+        latencies; the wake / idle-leak / gating state machine is stepped
+        through the keys in order before any bank is searched).  Each
+        bank then runs one ``search_batch`` over the keys routed to it,
+        in their original relative order, so its search-line toggle chain
+        evolves exactly as in the serial loop -- which is what makes
+        bank-sharding safe.  Each key's energy is its overhead row with
+        its bank's row merged in after it.
 
         Args:
             keys: Search keys (bank-width).
@@ -309,80 +351,75 @@ class TCAMChip:
                 in :meth:`search`.
         """
         keys = list(keys)
+        n = len(keys)
         if isinstance(banks, (int, np.integer)):
-            bank_ids = [int(banks)] * len(keys)
+            bank_ids = np.full(n, int(banks), dtype=np.int64)
         else:
-            bank_ids = [int(b) for b in banks]
-        if len(bank_ids) != len(keys):
-            raise TCAMError(
-                f"{len(bank_ids)} bank indices for {len(keys)} keys"
-            )
-        for b in bank_ids:
-            if not 0 <= b < self.n_banks:
-                raise TCAMError(f"bank {b} outside [0, {self.n_banks})")
+            bank_ids = np.array([int(b) for b in banks], dtype=np.int64)
+        if bank_ids.size != n:
+            raise TCAMError(f"{bank_ids.size} bank indices for {n} keys")
+        bad = (bank_ids < 0) | (bank_ids >= self.n_banks)
+        if bad.any():
+            raise TCAMError(f"bank {int(bank_ids[bad][0])} outside [0, {self.n_banks})")
         if not keys:
             return []
 
-        with obs.span(
-            "chip.search_batch", n_keys=len(keys), n_banks=self.n_banks
-        ) as sp:
+        with obs.span("chip.search_batch", n_keys=n, n_banks=self.n_banks) as sp:
+            overhead = self._overheads(bank_ids, idle_time)
             m = obs.metrics()
-            # Step the wake / idle-leak / gating state machine through the
-            # batch in key order -- it only reads and writes the powered
-            # mask, so it factors out of the bank searches exactly.
-            overheads: list[EnergyLedger] = []
-            extras: list[float] = []
-            for b in bank_ids:
-                ledger = EnergyLedger()
-                extras.append(self._wake(b, ledger))
-                if idle_time > 0.0:
-                    powered = int(np.count_nonzero(self._powered))
-                    leak_power = self.banks[0].standby_power()
-                    ledger.add(EnergyComponent.LEAKAGE, powered * leak_power * idle_time)
-                self._sleep_idle(b)
-                overheads.append(ledger)
-                if sp is not None:
-                    sp.add_energy(ledger)
-                if m is not None:
-                    m.counter("chip.searches").inc()
-                    for component, joules in ledger:
-                        m.counter("energy." + component).inc(joules)
+            if sp is not None or m is not None:
+                for i in range(n):
+                    ledger = overhead.ledger(i)
+                    if sp is not None:
+                        sp.add_energy(ledger)
+                    if m is not None:
+                        m.counter("chip.searches").inc()
+                        for component, joules in ledger:
+                            m.counter("energy." + component).inc(joules)
 
-            # Group keys by bank, preserving per-bank key order.
-            by_bank: dict[int, list[int]] = {}
-            for i, b in enumerate(bank_ids):
-                by_bank.setdefault(b, []).append(i)
-            per_key: list[SearchOutcome | None] = [None] * len(keys)
-            for b, idxs in sorted(by_bank.items()):
+            # One batch per bank over its keys, in their original order.
+            touched = np.unique(bank_ids).tolist()
+            parts = []
+            for b in touched:
+                idxs = np.arange(n) if len(touched) == 1 else np.flatnonzero(bank_ids == b)
                 bank = self.banks[b]
-                bank_keys = [keys[i] for i in idxs]
+                bank_keys = [keys[i] for i in idxs.tolist()]
                 if hasattr(bank, "search_batch"):
-                    outcomes = bank.search_batch(bank_keys)
+                    result = bank.search_batch(bank_keys)
                 else:
-                    outcomes = [bank.search(key) for key in bank_keys]
-                for i, outcome in zip(idxs, outcomes):
-                    per_key[i] = outcome
+                    result = [bank.search(key) for key in bank_keys]
+                parts.append((idxs, BatchOutcome.of(result)))
 
-            chip_outcomes: list[ChipSearchOutcome] = []
-            for i, (b, outcome) in enumerate(zip(bank_ids, per_key)):
-                ledger = EnergyLedger()
-                ledger.merge(overheads[i])
-                ledger.merge(outcome.energy)
-                row = None
-                if outcome.first_match is not None:
-                    row = b * self.geometry.rows + outcome.first_match
-                chip_outcomes.append(
-                    ChipSearchOutcome(
-                        bank=b,
-                        row=row,
-                        outcome=outcome,
-                        energy=ledger,
-                        latency=outcome.search_delay + extras[i],
-                    )
-                )
+            if len(parts) == 1:
+                # One bank served every key in order (each fabric probe):
+                # its columns are the chip's.
+                inner = parts[0][1]
+                first, delay, cycle = inner.first, inner.search_delay, inner.cycle_time
+                energy, match = inner.energy, inner.match
+            else:
+                first = np.empty(n, dtype=np.int64)
+                delay, cycle = np.empty(n), np.empty(n)
+                energy = EnergyMatrix.empty(n)
+                has_masks = all(p.match is not None for _, p in parts)
+                match = np.empty((n, self.geometry.rows), dtype=bool) if has_masks else None
+                for idxs, p in parts:
+                    first[idxs], delay[idxs], cycle[idxs] = p.first, p.search_delay, p.cycle_time
+                    energy = energy.merged(p.energy, rows=idxs)
+                    if has_masks:
+                        match[idxs] = p.match
+            woke = overhead.booked[:, overhead.column(_CLOCK)]
             if sp is not None:
-                sp.annotate(banks_touched=len(by_bank))
-            return chip_outcomes
+                sp.annotate(banks_touched=len(touched))
+            return BatchOutcome(
+                first=np.where(first >= 0, bank_ids * self.geometry.rows + first, -1),
+                search_delay=delay + np.where(woke, self.gating.wakeup_latency, 0.0),
+                cycle_time=cycle,
+                energy=overhead.merged(energy),
+                match=match,
+                view=_chip_view,
+                bank=bank_ids,
+                parts=parts,
+            )
 
     # ------------------------------------------------------------------
 

@@ -92,3 +92,9 @@ class TestBuildArray:
     def test_t_eval_override(self):
         arr = build_array(get_design("fefet2t"), GEO, t_eval=1e-9)
         assert arr.t_eval == pytest.approx(1e-9)
+
+    def test_t_eval_rejected_for_current_race(self):
+        """The race amp's cutoff sets the window; an override would be
+        silently replaced, so it is refused."""
+        with pytest.raises(DesignError, match="t_eval"):
+            build_array(get_design("fefet_cr"), GEO, t_eval=1e-9)

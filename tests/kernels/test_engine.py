@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import all_designs, build_array, get_design
 from repro.errors import KernelError
-from repro.kernels import KernelEngine, PrechargeClassRow, RaceClassRow, sequential_segment_sum
+from repro.kernels import KernelEngine, PrechargeClassRow, RaceClassRow
 from repro.tcam import ArrayGeometry
 
 SEARCHABLE = [spec.name for spec in all_designs() if spec.sensing != "nand"]
@@ -18,28 +18,33 @@ def _array(design="fefet2t", rows=8, cols=12):
 
 
 class TestSequentialSegmentSum:
+    """The exact-summation rule of every batch ledger: each segment (one
+    row of zero-padded classes) is summed by a row-wise ``np.cumsum``,
+    which equals the sequential ``acc = acc + x`` loop bit for bit where
+    pairwise ``np.sum`` does not."""
+
     def test_matches_left_to_right_loop_bitwise(self):
         """The whole point: bitwise equality with sequential accumulation."""
         rng = np.random.default_rng(42)
         # Wildly mixed magnitudes make pairwise vs sequential summation
         # visibly different at the ULP level.
-        flat = rng.uniform(1e-30, 1.0, size=200) * 10.0 ** rng.integers(-15, 15, size=200)
-        starts = np.array([0, 3, 3, 50, 120])
-        ends = np.array([3, 3, 50, 120, 200])
-        got = sequential_segment_sum(flat, starts, ends)
-        for i, (lo, hi) in enumerate(zip(starts, ends)):
+        rows = rng.uniform(1e-30, 1.0, size=(60, 40)) * 10.0 ** rng.integers(-15, 15, (60, 40))
+        rows[rng.random(rows.shape) < 0.5] = 0.0  # absent classes
+        got = np.cumsum(rows, axis=1)[:, -1]
+        pairwise_differs = False
+        for i, row in enumerate(rows):
             acc = 0.0
-            for x in flat[lo:hi]:
+            for x in row:
                 acc = acc + x
             assert got[i] == acc, f"segment {i} diverged from sequential sum"
+            pairwise_differs |= bool(np.sum(row) != acc)
+        assert pairwise_differs
 
     def test_empty_segments_are_zero(self):
-        got = sequential_segment_sum(np.array([1.0, 2.0]), np.array([1, 2]), np.array([1, 2]))
-        assert np.array_equal(got, [0.0, 0.0])
-
-    def test_no_segments(self):
-        got = sequential_segment_sum(np.array([1.0]), np.array([], dtype=int), np.array([], dtype=int))
-        assert got.size == 0
+        """A segment whose classes are all absent sums to exactly 0.0."""
+        rows = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        got = np.cumsum(rows, axis=1)[:, -1]
+        assert np.array_equal(got, [0.0, 3.0, 0.0])
 
 
 class TestEngineRows:

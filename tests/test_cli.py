@@ -138,15 +138,40 @@ class TestDse:
         assert "--searches: must be >= 1" in capsys.readouterr().err
 
 
+class TestBadInputs:
+    """Bad geometry ends in a usage error (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["dse", "--cell", "fefet2t", "--rows", "0"], "--rows: must be >= 1, got 0"),
+            (["compare", "--rows", "0", "--cols", "8"], "--rows: must be >= 1, got 0"),
+            (["dse", "--segments", "-3"], "--segments: must be >= 0, got -3"),
+        ],
+        ids=["dse-rows", "compare-rows", "dse-segments"],
+    )
+    def test_rejected_at_parse(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_model_error_exits_2_with_its_message(self, capsys):
+        code = main(["dse", "--cell", "nosuch", "--rows", "8", "--cols", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert "unknown cell 'nosuch'" in err
+
+
 class TestReportValidation:
     def test_report_rejects_unknown_schema(self, tmp_path, capsys):
         (tmp_path / "BENCH_bad.json").write_text('{"schema_version": 999}')
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="unknown schema_version"):
-            main(["report", "--bench-dir", str(tmp_path),
-                  "--output-dir", str(tmp_path / "out"),
-                  "--out", str(tmp_path / "REPORT.md")])
+        code = main(["report", "--bench-dir", str(tmp_path),
+                     "--output-dir", str(tmp_path / "out"),
+                     "--out", str(tmp_path / "REPORT.md")])
+        assert code == 2
+        assert "unknown schema_version" in capsys.readouterr().err
 
     def test_report_counts_validated_artifacts(self, tmp_path, capsys):
         (tmp_path / "BENCH_ok.json").write_text('{"schema_version": 1}')
